@@ -80,13 +80,25 @@ bench-multicore:
 	done
 	$(GO) test -run xxx -bench 'BenchmarkServeCacheHit|BenchmarkWriteJSON|BenchmarkCompleteChurn' -benchmem ./internal/server/ ./internal/jobq/
 
-# Cluster scaling ladder: spawn 1..3 real mfserved processes wired into
-# one consistent-hash ring, drive cold and warm rounds through it, write
-# the per-node-count table to BENCH_cluster.json, then gate the 1-node
-# reference entry with the regression checker (costs exact, wall time
-# within the recorded tolerance).
+# Cluster scaling ladder, the same run as the CI cluster job: mfload
+# starts 1..3 real mfserved processes (one worker, GOMAXPROCS=1 each) as
+# one consistent-hash ring, replays the closed-loop heavytail profile
+# cold and then warm on each rung, checks the merged trace of a request
+# the 3-node ring forwarded, and writes the per-rung reports before
+# asserting the ladder (both passes complete every request, warm passes
+# all hits, peer serves from 2 nodes on, 2x warm throughput where the
+# host has a CPU per node). Only a ladder that passes replaces
+# BENCH_cluster.json; a failing one leaves its numbers in
+# BENCH_cluster.new.json. The regression checker then gates the 1-node
+# reference entry (costs exact, wall time within the recorded
+# tolerance). Seed 19 sends 10 of its schedule's 12 keys, warm, to a node
+# that never saw them cold, so a working ring shows peer serves whatever
+# ports it hashes.
 cluster-bench:
-	$(GO) run ./cmd/mfserved -cluster-selfbench 3 -cluster-requests 12 -o BENCH_cluster.json
+	$(GO) build -o mfserved ./cmd/mfserved
+	$(GO) run ./cmd/mfload -nodes 3 -mfserved ./mfserved -profile heavytail -duration 3s -seed 19 \
+		-o BENCH_cluster.new.json -trace cluster_trace.json
+	mv BENCH_cluster.new.json BENCH_cluster.json
 	$(GO) run ./cmd/mfbench -regress BENCH_cluster.json -bench Synthetic1
 
 # Workload engine against an in-process server: replay the steady
@@ -133,3 +145,4 @@ table1:
 
 clean:
 	$(GO) clean ./...
+	rm -f mfserved BENCH_cluster.new.json

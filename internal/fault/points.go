@@ -77,7 +77,7 @@ func Known(pt Point) bool {
 	return false
 }
 
-// DefaultChaos returns the fixed chaos plan the service's -chaos mode and
+// DefaultChaos returns the fixed chaos plan `mfload -spawn -chaos` and
 // the CI chaos job use: every point armed with moderate probabilities and
 // short delays, deterministic in seed. Failure points are throttled by
 // Limit so a chaos run degrades the service without starving it.

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/server"
 )
 
@@ -163,7 +165,7 @@ func TestRunReportStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := &Runner{BaseURL: ts.URL, Timeout: 120 * time.Second}
+	runner := &Runner{Nodes: []string{ts.URL}, Timeout: 120 * time.Second}
 	start := time.Now()
 	outcomes, err := runner.Run(context.Background(), sched)
 	if err != nil {
@@ -280,7 +282,7 @@ func TestRunSessionProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := &Runner{BaseURL: ts.URL, Timeout: 120 * time.Second}
+	runner := &Runner{Nodes: []string{ts.URL}, Timeout: 120 * time.Second}
 	start := time.Now()
 	outcomes, err := runner.Run(context.Background(), sched)
 	if err != nil {
@@ -306,6 +308,84 @@ func TestRunSessionProfile(t *testing.T) {
 	}
 	if rep.Repairs == 0 {
 		t.Fatal("session run accepted zero repairs")
+	}
+}
+
+// TestFailedRepairClosesSession arms session.repair.fail on every report:
+// each session then fails on its first report, and the runner must still
+// close it, so the server ends the run with no session open.
+func TestFailedRepairClosesSession(t *testing.T) {
+	t.Parallel()
+	plan := fault.NewPlan(1).Arm(fault.SessionRepairFail, fault.Policy{Prob: 1})
+	srv, err := server.New(server.Config{Workers: 2, QueueCap: 64, Fault: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+	p, err := ByName("session")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := Build(p, Options{Seed: 3, Duration: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner := &Runner{Nodes: []string{ts.URL}, Timeout: 120 * time.Second}
+	outcomes, err := runner.Run(context.Background(), sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range outcomes {
+		if o.Status != "failed" || !o.Session {
+			t.Fatalf("outcome %d: %+v", i, o)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var vars struct {
+		Open *int `json:"sessions_open"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
+		t.Fatal(err)
+	}
+	if vars.Open == nil {
+		t.Fatal("/metrics.json has no sessions_open")
+	}
+	if *vars.Open != 0 {
+		t.Fatalf("sessions_open = %d after %d failed sessions, want 0", *vars.Open, len(outcomes))
+	}
+}
+
+// TestClassifySubmit pins how a submit status code maps onto an outcome.
+func TestClassifySubmit(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		code int
+		want string
+	}{
+		{http.StatusOK, ""},
+		{http.StatusAccepted, ""},
+		{http.StatusTooManyRequests, "rejected"},
+		{http.StatusServiceUnavailable, "shed"},
+		{http.StatusInternalServerError, "failed"},
+		{http.StatusBadGateway, "failed"},
+		{http.StatusGatewayTimeout, "failed"},
+		{http.StatusBadRequest, "error"},
+		{http.StatusNotFound, "error"},
+		{http.StatusCreated, "error"},
+	} {
+		if got := classifySubmit(tc.code); got != tc.want {
+			t.Errorf("classifySubmit(%d) = %q, want %q", tc.code, got, tc.want)
+		}
 	}
 }
 
@@ -339,7 +419,7 @@ func TestRunBatchMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := &Runner{BaseURL: ts.URL, Timeout: 120 * time.Second}
+	runner := &Runner{Nodes: []string{ts.URL}, Timeout: 120 * time.Second}
 	outcomes, err := runner.Run(context.Background(), sched)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,9 +15,8 @@ import (
 	"repro/internal/regress"
 )
 
-// Percentiles summarizes a latency population in milliseconds.
-// Percentiles use the nearest-rank method, matching the selfbench and
-// SLO layers, so the numbers are comparable across reports.
+// Percentiles summarizes a latency population in milliseconds, by the
+// nearest-rank method, so the numbers are comparable across reports.
 type Percentiles struct {
 	P50    float64 `json:"p50"`
 	P95    float64 `json:"p95"`
@@ -66,6 +66,12 @@ type Report struct {
 	ThroughputPerS float64 `json:"throughput_per_s"`
 
 	LatencyMs Percentiles `json:"latency_ms"`
+
+	// Nodes is the cluster size of a run against several nodes (mfload
+	// -nodes); PeerServed counts its completed requests that another
+	// node's cache or pipeline answered.
+	Nodes      int `json:"nodes,omitempty"`
+	PeerServed int `json:"peer_served,omitempty"`
 }
 
 // percentile is the nearest-rank percentile of a sorted slice.
@@ -116,6 +122,9 @@ func Summarize(s *Schedule, outcomes []Outcome, wall time.Duration) Report {
 			if o.Degraded {
 				rep.Degraded++
 			}
+			if o.Peer != "" {
+				rep.PeerServed++
+			}
 			lats = append(lats, o.LatencyMs)
 			sum += o.LatencyMs
 		case "failed":
@@ -164,6 +173,8 @@ type Doc struct {
 	CPUs      int               `json:"cpus"`
 	Profiles  []Report          `json:"profiles"`
 	Regress   *regress.Baseline `json:"regress,omitempty"`
+	// FaultFires counts the injected faults of a chaos run by point name.
+	FaultFires map[string]int64 `json:"fault_fires,omitempty"`
 }
 
 // NewDoc stamps a document with host facts.
@@ -199,56 +210,32 @@ func MeasureRegressEntry(client *http.Client, baseURL string) (*regress.Baseline
 	}
 	data, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	var sub struct {
-		JobID string `json:"job_id"`
-	}
+	var sub submitResp
 	if err := json.Unmarshal(data, &sub); err != nil {
 		return nil, err
 	}
 	if sub.JobID == "" {
 		return nil, fmt.Errorf("reference submit: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(data)))
 	}
-	deadline := time.Now().Add(2 * time.Minute)
-	for time.Now().Before(deadline) {
-		jr, err := client.Get(baseURL + "/v1/jobs/" + sub.JobID)
-		if err != nil {
-			return nil, err
-		}
-		jdata, _ := io.ReadAll(jr.Body)
-		jr.Body.Close()
-		var job struct {
-			Status  string `json:"status"`
-			Error   string `json:"error"`
-			Metrics *struct {
-				ExecutionTimeMs int64   `json:"execution_time_ms"`
-				ChannelLengthUm int64   `json:"channel_length_um"`
-				ChannelWashMs   int64   `json:"channel_wash_ms"`
-				Transports      int     `json:"transports"`
-				CPUMs           float64 `json:"cpu_ms"`
-			} `json:"metrics"`
-		}
-		if err := json.Unmarshal(jdata, &job); err != nil {
-			return nil, err
-		}
-		switch job.Status {
-		case "done":
-			if job.Metrics == nil {
-				return nil, fmt.Errorf("reference job has no metrics")
-			}
-			return &regress.Baseline{
-				Imax: 60, Seed: 1, Tolerance: 0.5,
-				Benchmarks: map[string]regress.Entry{"Synthetic1": {
-					NsPerOp:         job.Metrics.CPUMs * 1e6,
-					MakespanMs:      job.Metrics.ExecutionTimeMs,
-					ChannelLengthUm: job.Metrics.ChannelLengthUm,
-					ChannelWashMs:   job.Metrics.ChannelWashMs,
-					Transports:      job.Metrics.Transports,
-				}},
-			}, nil
-		case "failed", "canceled":
-			return nil, fmt.Errorf("reference job %s: %s", job.Status, job.Error)
-		}
-		time.Sleep(10 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	job, err := pollJob(ctx, client, baseURL, sub.JobID, 10*time.Millisecond)
+	switch {
+	case err != nil:
+		return nil, err
+	case job.Status != "done":
+		return nil, fmt.Errorf("reference job %s: %s", job.Status, job.Error)
+	case job.Metrics == nil:
+		return nil, fmt.Errorf("reference job has no metrics")
 	}
-	return nil, fmt.Errorf("reference job did not finish within 2m")
+	return &regress.Baseline{
+		Imax: 60, Seed: 1, Tolerance: 0.5,
+		Benchmarks: map[string]regress.Entry{"Synthetic1": {
+			NsPerOp:         job.Metrics.CPUMs * 1e6,
+			MakespanMs:      job.Metrics.ExecutionTimeMs,
+			ChannelLengthUm: job.Metrics.ChannelLengthUm,
+			ChannelWashMs:   job.Metrics.ChannelWashMs,
+			Transports:      job.Metrics.Transports,
+		}},
+	}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,9 +16,9 @@ import (
 
 // Outcome is the measured result of one scheduled request (or one batch
 // member). Exactly one of the terminal classifications applies:
-// completed/failed jobs ran, rejected (429) and shed (503) never
-// entered the queue, error covers transport failures and unexpected
-// statuses.
+// completed/failed jobs ran (a 5xx other than 503 counts as failed),
+// rejected (429) and shed (503) never entered the queue, error covers
+// transport failures and unexpected replies.
 type Outcome struct {
 	Index     int     `json:"index"`
 	Source    string  `json:"source"`
@@ -26,6 +27,12 @@ type Outcome struct {
 	Degraded  bool    `json:"degraded,omitempty"`
 	LatencyMs float64 `json:"latency_ms"`
 	Err       string  `json:"error,omitempty"`
+
+	// JobID is the request's job on the node it was sent to. Peer names
+	// the cluster node whose cache or pipeline produced the answer, when
+	// it was not that node itself.
+	JobID string `json:"job_id,omitempty"`
+	Peer  string `json:"peer,omitempty"`
 
 	// Session-profile extras (items that carry fault reports). Session
 	// reports whether a session actually opened; the counters classify
@@ -39,10 +46,12 @@ type Outcome struct {
 	Abandoned       bool `json:"abandoned,omitempty"`
 }
 
-// Runner executes a schedule against one mfserved base URL.
+// Runner executes a schedule against one or more mfserved nodes.
 type Runner struct {
-	BaseURL string
-	Client  *http.Client
+	// Nodes are the base URLs requests go to: item i is sent to
+	// Nodes[i mod len(Nodes)] (a batch goes where its first member would).
+	Nodes  []string
+	Client *http.Client
 	// ReqLog, when set, receives one JSON line per outcome as it
 	// resolves (the request log CI archives).
 	ReqLog io.Writer
@@ -73,6 +82,12 @@ func (r *Runner) record(o Outcome) {
 	r.mu.Unlock()
 }
 
+// settle records the outcome of an item that resolved without a job to
+// poll.
+func (r *Runner) settle(it Item, status, msg string, start time.Time) {
+	r.record(Outcome{Index: it.Index, Source: it.Source, Status: status, Err: msg, LatencyMs: msSince(start)})
+}
+
 // Run executes the schedule: open-loop items fire at their offsets
 // (bounded by the schedule's concurrency cap so a stalled server sheds
 // into the cap instead of unbounded goroutines), closed-loop items are
@@ -80,6 +95,9 @@ func (r *Runner) record(o Outcome) {
 // consecutive items group into POST /v1/synthesize/batch calls and the
 // members resolve individually. Returns the outcomes in schedule order.
 func (r *Runner) Run(ctx context.Context, s *Schedule) ([]Outcome, error) {
+	if len(r.Nodes) == 0 {
+		return nil, errors.New("loadgen: runner has no nodes")
+	}
 	if r.PollInterval <= 0 {
 		r.PollInterval = 10 * time.Millisecond
 	}
@@ -106,64 +124,53 @@ func (r *Runner) Run(ctx context.Context, s *Schedule) ([]Outcome, error) {
 		groups = append(groups, group{at: s.Items[i].At, items: s.Items[i:end]})
 	}
 
+	canceled := func(g group) {
+		for _, it := range g.items {
+			r.record(Outcome{Index: it.Index, Source: it.Source, Status: "error", Err: "canceled before submit"})
+		}
+	}
 	sem := make(chan struct{}, max(1, s.Concurrency))
 	var wg sync.WaitGroup
-	start := time.Now()
 	launch := func(g group) {
 		defer wg.Done()
 		select {
 		case sem <- struct{}{}:
 		case <-ctx.Done():
-			for _, it := range g.items {
-				r.record(Outcome{Index: it.Index, Source: it.Source, Status: "error", Err: "canceled before submit"})
-			}
+			canceled(g)
 			return
 		}
 		defer func() { <-sem }()
+		base := r.Nodes[g.items[0].Index%len(r.Nodes)]
 		switch {
 		case len(g.items) == 1 && len(g.items[0].Faults) > 0:
-			r.runSession(ctx, s.Profile, g.items[0])
+			r.runSession(ctx, base, s.Profile, g.items[0])
 		case len(g.items) == 1 && s.Batch <= 0:
-			r.runSingle(ctx, s.Profile, g.items[0])
+			r.runSingle(ctx, base, s.Profile, g.items[0])
 		default:
-			r.runBatch(ctx, s.Profile, g.items)
+			r.runBatch(ctx, base, s.Profile, g.items)
 		}
 	}
 
-	if s.OpenLoop {
-		timer := time.NewTimer(0)
-		defer timer.Stop()
-		for _, g := range groups {
-			wait := g.at - time.Since(start)
-			if wait > 0 {
-				timer.Reset(wait)
-				select {
-				case <-timer.C:
-				case <-ctx.Done():
-				}
+	// Open loop launches each group at its offset. Closed loop launches
+	// everything at once: the semaphore IS the loop, letting Concurrency
+	// slots drain the groups in order.
+	start := time.Now()
+	timer := time.NewTimer(0)
+	defer timer.Stop()
+	for _, g := range groups {
+		if wait := g.at - time.Since(start); s.OpenLoop && wait > 0 {
+			timer.Reset(wait)
+			select {
+			case <-timer.C:
+			case <-ctx.Done():
 			}
-			if ctx.Err() != nil {
-				for _, it := range g.items {
-					r.record(Outcome{Index: it.Index, Source: it.Source, Status: "error", Err: "canceled before submit"})
-				}
-				continue
-			}
-			wg.Add(1)
-			go launch(g)
 		}
-	} else {
-		// Closed loop: the semaphore IS the loop — launch everything and
-		// let Concurrency slots drain it in order.
-		for _, g := range groups {
-			if ctx.Err() != nil {
-				for _, it := range g.items {
-					r.record(Outcome{Index: it.Index, Source: it.Source, Status: "error", Err: "canceled before submit"})
-				}
-				continue
-			}
-			wg.Add(1)
-			go launch(g)
+		if ctx.Err() != nil {
+			canceled(g)
+			continue
 		}
+		wg.Add(1)
+		go launch(g)
 	}
 	wg.Wait()
 
@@ -193,8 +200,8 @@ type batchResp struct {
 	} `json:"members"`
 }
 
-func (r *Runner) post(ctx context.Context, path, profile string, body []byte) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.BaseURL+path, bytes.NewReader(body))
+func (r *Runner) post(ctx context.Context, base, path, profile string, body []byte) (int, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(body))
 	if err != nil {
 		return 0, nil, err
 	}
@@ -215,13 +222,17 @@ func (r *Runner) post(ctx context.Context, path, profile string, body []byte) (i
 const workloadProfileHeader = "X-Workload-Profile"
 
 // classifySubmit maps a submit status code onto an outcome status, or
-// returns "" for accepted submissions that still need polling.
+// returns "" for accepted submissions that still need polling. A server
+// error other than 503 is the service failing the request (an injected
+// handler fault, a journal write), so it counts as failed, not error.
 func classifySubmit(code int) string {
 	switch {
 	case code == http.StatusTooManyRequests:
 		return "rejected"
 	case code == http.StatusServiceUnavailable:
 		return "shed"
+	case code >= http.StatusInternalServerError:
+		return "failed"
 	case code == http.StatusOK || code == http.StatusAccepted:
 		return ""
 	default:
@@ -229,66 +240,50 @@ func classifySubmit(code int) string {
 	}
 }
 
-func (r *Runner) runSingle(ctx context.Context, profile string, it Item) {
+func (r *Runner) runSingle(ctx context.Context, base, profile string, it Item) {
 	start := time.Now()
 	cctx, cancel := context.WithTimeout(ctx, r.Timeout)
 	defer cancel()
-	code, data, err := r.post(cctx, "/v1/synthesize", profile, it.Body)
+	code, data, err := r.post(cctx, base, "/v1/synthesize", profile, it.Body)
 	if err != nil {
-		r.record(Outcome{Index: it.Index, Source: it.Source, Status: "error", Err: err.Error(),
-			LatencyMs: msSince(start)})
+		r.settle(it, "error", err.Error(), start)
 		return
 	}
 	if st := classifySubmit(code); st != "" {
-		r.record(Outcome{Index: it.Index, Source: it.Source, Status: st,
-			Err: strings.TrimSpace(string(data)), LatencyMs: msSince(start)})
+		r.settle(it, st, strings.TrimSpace(string(data)), start)
 		return
 	}
 	var sub submitResp
 	if err := json.Unmarshal(data, &sub); err != nil {
-		r.record(Outcome{Index: it.Index, Source: it.Source, Status: "error", Err: err.Error(),
-			LatencyMs: msSince(start)})
+		r.settle(it, "error", err.Error(), start)
 		return
 	}
-	r.record(r.await(cctx, it, sub.JobID, sub.Cached, start))
+	r.record(r.await(cctx, base, it, sub.JobID, sub.Cached, start))
 }
 
 // runSession drives one chip-session lifecycle: open the session with
 // the item body, inject each fault report in order, close. The session
 // create is synchronous (no job to poll), so the outcome latency spans
 // the whole lifecycle including every repair.
-func (r *Runner) runSession(ctx context.Context, profile string, it Item) {
+func (r *Runner) runSession(ctx context.Context, base, profile string, it Item) {
 	start := time.Now()
 	cctx, cancel := context.WithTimeout(ctx, r.Timeout)
 	defer cancel()
 	o := Outcome{Index: it.Index, Source: it.Source}
-	fail := func(err string) {
-		o.Status, o.Err, o.LatencyMs = "failed", err, msSince(start)
+	defer func() {
+		o.LatencyMs = msSince(start)
 		r.record(o)
-	}
-	code, data, err := r.post(cctx, "/v1/sessions", profile, it.Body)
+	}()
+	code, data, err := r.post(cctx, base, "/v1/sessions", profile, it.Body)
 	if err != nil {
-		o.Status, o.Err, o.LatencyMs = "error", err.Error(), msSince(start)
-		r.record(o)
+		o.Status, o.Err = "error", err.Error()
 		return
 	}
-	switch code {
-	case http.StatusCreated:
-	case http.StatusTooManyRequests:
-		o.Status, o.LatencyMs = "rejected", msSince(start)
-		r.record(o)
-		return
-	case http.StatusServiceUnavailable:
-		o.Status, o.LatencyMs = "shed", msSince(start)
-		r.record(o)
-		return
-	case http.StatusInternalServerError:
-		fail(strings.TrimSpace(string(data)))
-		return
-	default:
-		o.Status, o.LatencyMs = "error", msSince(start)
+	if code != http.StatusCreated {
+		if o.Status = classifySubmit(code); o.Status == "" {
+			o.Status = "error"
+		}
 		o.Err = fmt.Sprintf("create: HTTP %d: %s", code, strings.TrimSpace(string(data)))
-		r.record(o)
 		return
 	}
 	var sess struct {
@@ -298,22 +293,21 @@ func (r *Runner) runSession(ctx context.Context, profile string, it Item) {
 		Faults  string `json:"faults"`
 	}
 	if err := json.Unmarshal(data, &sess); err != nil {
-		o.Status, o.Err, o.LatencyMs = "error", err.Error(), msSince(start)
-		r.record(o)
+		o.Status, o.Err = "error", err.Error()
 		return
 	}
-	o.Session, o.Cached = true, sess.Cached
+	o.Session, o.Cached, o.Status = true, sess.Cached, "done"
 
+reports:
 	for i, fr := range it.Faults {
-		code, data, err := r.post(cctx, sess.Faults, profile, fr)
+		code, data, err := r.post(cctx, base, sess.Faults, profile, fr)
 		if err != nil {
-			o.Status, o.Err, o.LatencyMs = "error", err.Error(), msSince(start)
-			r.record(o)
-			return
+			o.Status, o.Err = "error", err.Error()
+			break
 		}
 		if code != http.StatusOK {
-			fail(fmt.Sprintf("fault %d: HTTP %d: %s", i, code, strings.TrimSpace(string(data))))
-			return
+			o.Status, o.Err = "failed", fmt.Sprintf("fault %d: HTTP %d: %s", i, code, strings.TrimSpace(string(data)))
+			break
 		}
 		var rr struct {
 			Record struct {
@@ -321,9 +315,8 @@ func (r *Runner) runSession(ctx context.Context, profile string, it Item) {
 			} `json:"record"`
 		}
 		if err := json.Unmarshal(data, &rr); err != nil {
-			o.Status, o.Err, o.LatencyMs = "error", err.Error(), msSince(start)
-			r.record(o)
-			return
+			o.Status, o.Err = "error", err.Error()
+			break
 		}
 		o.Repairs++
 		switch rr.Record.Outcome {
@@ -336,27 +329,25 @@ func (r *Runner) runSession(ctx context.Context, profile string, it Item) {
 			// The service's explicit verdict: the assay is lost. No more
 			// reports can land and there is nothing to close.
 			o.Abandoned = true
-			o.Status, o.LatencyMs = "done", msSince(start)
-			r.record(o)
 			return
 		default:
-			fail(fmt.Sprintf("fault %d: unknown repair outcome %q", i, rr.Record.Outcome))
-			return
+			o.Status, o.Err = "failed", fmt.Sprintf("fault %d: unknown repair outcome %q", i, rr.Record.Outcome)
+			break reports
 		}
 	}
-	if code, data, err := r.post(cctx, sess.Session+"/close", profile, nil); err != nil {
-		o.Status, o.Err, o.LatencyMs = "error", err.Error(), msSince(start)
-		r.record(o)
-		return
-	} else if code != http.StatusOK {
-		fail(fmt.Sprintf("close: HTTP %d: %s", code, strings.TrimSpace(string(data))))
-		return
+	// The server keeps a session open until it is closed, so a session
+	// whose report failed is closed too; its first failure stands.
+	code, data, err = r.post(cctx, base, sess.Session+"/close", profile, nil)
+	switch {
+	case o.Status != "done":
+	case err != nil:
+		o.Status, o.Err = "error", err.Error()
+	case code != http.StatusOK:
+		o.Status, o.Err = "failed", fmt.Sprintf("close: HTTP %d: %s", code, strings.TrimSpace(string(data)))
 	}
-	o.Status, o.LatencyMs = "done", msSince(start)
-	r.record(o)
 }
 
-func (r *Runner) runBatch(ctx context.Context, profile string, items []Item) {
+func (r *Runner) runBatch(ctx context.Context, base, profile string, items []Item) {
 	start := time.Now()
 	cctx, cancel := context.WithTimeout(ctx, r.Timeout)
 	defer cancel()
@@ -369,31 +360,20 @@ func (r *Runner) runBatch(ctx context.Context, profile string, items []Item) {
 		body.Write(it.Body)
 	}
 	body.WriteString(`]}`)
-	code, data, err := r.post(cctx, "/v1/synthesize/batch", profile, body.Bytes())
-	if err != nil || classifySubmit(code) == "error" {
-		msg := strings.TrimSpace(string(data))
-		if err != nil {
-			msg = err.Error()
-		}
-		for _, it := range items {
-			r.record(Outcome{Index: it.Index, Source: it.Source, Status: "error", Err: msg,
-				LatencyMs: msSince(start)})
-		}
-		return
-	}
-	if code == http.StatusServiceUnavailable {
-		for _, it := range items {
-			r.record(Outcome{Index: it.Index, Source: it.Source, Status: "shed",
-				LatencyMs: msSince(start)})
-		}
-		return
+	code, data, err := r.post(cctx, base, "/v1/synthesize/batch", profile, body.Bytes())
+	st, msg := classifySubmit(code), strings.TrimSpace(string(data))
+	if err != nil {
+		st, msg = "error", err.Error()
 	}
 	var br batchResp
-	if err := json.Unmarshal(data, &br); err != nil || len(br.Members) != len(items) {
-		msg := fmt.Sprintf("batch response: %v (members %d, want %d)", err, len(br.Members), len(items))
+	if st == "" {
+		if err := json.Unmarshal(data, &br); err != nil || len(br.Members) != len(items) {
+			st, msg = "error", fmt.Sprintf("batch response: %v (members %d, want %d)", err, len(br.Members), len(items))
+		}
+	}
+	if st != "" {
 		for _, it := range items {
-			r.record(Outcome{Index: it.Index, Source: it.Source, Status: "error", Err: msg,
-				LatencyMs: msSince(start)})
+			r.settle(it, st, msg, start)
 		}
 		return
 	}
@@ -402,65 +382,81 @@ func (r *Runner) runBatch(ctx context.Context, profile string, items []Item) {
 	var wg sync.WaitGroup
 	for i, m := range br.Members {
 		it := items[i]
-		switch m.Status {
-		case "rejected":
-			r.record(Outcome{Index: it.Index, Source: it.Source, Status: "rejected",
-				Err: m.Error, LatencyMs: msSince(start)})
+		if m.Status == "rejected" {
+			r.settle(it, "rejected", m.Error, start)
 			continue
 		}
 		wg.Add(1)
 		go func(it Item, jobID string, cached bool) {
 			defer wg.Done()
-			r.record(r.await(cctx, it, jobID, cached, start))
+			r.record(r.await(cctx, base, it, jobID, cached, start))
 		}(it, m.JobID, m.Cached)
 	}
 	wg.Wait()
 }
 
 // await polls a job to a terminal state and classifies it.
-func (r *Runner) await(ctx context.Context, it Item, jobID string, cached bool, start time.Time) Outcome {
-	o := Outcome{Index: it.Index, Source: it.Source, Cached: cached}
-	tick := time.NewTicker(r.PollInterval)
+func (r *Runner) await(ctx context.Context, base string, it Item, jobID string, cached bool, start time.Time) Outcome {
+	o := Outcome{Index: it.Index, Source: it.Source, Cached: cached, JobID: jobID}
+	job, err := pollJob(ctx, r.client(), base, jobID, r.PollInterval)
+	o.LatencyMs = msSince(start)
+	switch {
+	case err != nil:
+		o.Status, o.Err = "error", err.Error()
+	case job.Status == "done":
+		o.Status, o.Peer = "done", job.Peer
+		o.Cached = o.Cached || job.Cached
+		o.Degraded = len(job.Degradations) > 0
+	default:
+		o.Status, o.Err = "failed", job.Error
+	}
+	return o
+}
+
+// jobStatus is the subset of GET /v1/jobs/{id} the package reads.
+type jobStatus struct {
+	Status       string            `json:"status"`
+	Cached       bool              `json:"cached"`
+	Peer         string            `json:"peer"`
+	Error        string            `json:"error"`
+	Degradations []json.RawMessage `json:"degradations"`
+	Metrics      *struct {
+		ExecutionTimeMs int64   `json:"execution_time_ms"`
+		ChannelLengthUm int64   `json:"channel_length_um"`
+		ChannelWashMs   int64   `json:"channel_wash_ms"`
+		Transports      int     `json:"transports"`
+		CPUMs           float64 `json:"cpu_ms"`
+	} `json:"metrics"`
+}
+
+// pollJob reads a job's status every interval until it is done, failed
+// or canceled, or ctx ends.
+func pollJob(ctx context.Context, c *http.Client, base, jobID string, every time.Duration) (jobStatus, error) {
+	tick := time.NewTicker(every)
 	defer tick.Stop()
 	for {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.BaseURL+"/v1/jobs/"+jobID, nil)
+		var job jobStatus
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/jobs/"+jobID, nil)
 		if err != nil {
-			o.Status, o.Err, o.LatencyMs = "error", err.Error(), msSince(start)
-			return o
+			return job, err
 		}
-		resp, err := r.client().Do(req)
+		resp, err := c.Do(req)
 		if err != nil {
-			o.Status, o.Err, o.LatencyMs = "error", err.Error(), msSince(start)
-			return o
+			return job, err
 		}
 		data, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		var job struct {
-			Status       string            `json:"status"`
-			Cached       bool              `json:"cached"`
-			Error        string            `json:"error"`
-			Degradations []json.RawMessage `json:"degradations"`
-		}
 		if err := json.Unmarshal(data, &job); err != nil {
-			o.Status, o.Err, o.LatencyMs = "error", err.Error(), msSince(start)
-			return o
+			return job, err
 		}
 		switch job.Status {
-		case "done":
-			o.Status = "done"
-			o.Cached = o.Cached || job.Cached
-			o.Degraded = len(job.Degradations) > 0
-			o.LatencyMs = msSince(start)
-			return o
-		case "failed", "canceled":
-			o.Status, o.Err, o.LatencyMs = "failed", job.Error, msSince(start)
-			return o
+		case "done", "failed", "canceled":
+			return job, nil
 		}
 		select {
 		case <-tick.C:
 		case <-ctx.Done():
-			o.Status, o.Err, o.LatencyMs = "error", "timeout awaiting job "+jobID, msSince(start)
-			return o
+			return job, errors.New("timeout awaiting job " + jobID)
 		}
 	}
 }

@@ -250,7 +250,7 @@ func TestBatchHeaderConstantMatchesLoadgen(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched.Items = sched.Items[:2] // two requests are plenty
-	runner := &loadgen.Runner{BaseURL: ts.URL, Timeout: 60 * time.Second}
+	runner := &loadgen.Runner{Nodes: []string{ts.URL}, Timeout: 60 * time.Second}
 	outcomes, err := runner.Run(t.Context(), sched)
 	if err != nil {
 		t.Fatal(err)
