@@ -38,13 +38,13 @@ bench:
 # Hot-path benchmarks the smoke run must still find; a renamed or deleted
 # benchmark silently matches nothing with a bare -bench regex, so the run
 # greps its own output for each name and fails loudly instead.
-BENCH_SMOKE_NAMES := BenchmarkSynthesisCPU BenchmarkAnnealEnergy BenchmarkAStarSynthetic4
-BENCH_SMOKE_REGEX := BenchmarkSynthesisCPU|BenchmarkAnnealEnergy|BenchmarkAStarSynthetic4
+BENCH_SMOKE_NAMES := BenchmarkSynthesisCPU BenchmarkAnnealEnergy BenchmarkAStarSynthetic4 BenchmarkQuench
+BENCH_SMOKE_REGEX := BenchmarkSynthesisCPU|BenchmarkAnnealEnergy|BenchmarkAStarSynthetic4|BenchmarkQuench
 
 # Quick sanity pass over the optimized hot paths: one iteration each of
-# the placement, routing and end-to-end synthesis benchmarks.
+# the placement, quench, routing and end-to-end synthesis benchmarks.
 bench-smoke:
-	@out=$$($(GO) test -run xxx -bench '$(BENCH_SMOKE_REGEX)' -benchtime 1x . 2>&1); \
+	@out=$$($(GO) test -run xxx -bench '$(BENCH_SMOKE_REGEX)' -benchtime 1x . ./internal/place/ 2>&1); \
 	status=$$?; echo "$$out"; \
 	if [ $$status -ne 0 ]; then exit $$status; fi; \
 	for b in $(BENCH_SMOKE_NAMES); do \

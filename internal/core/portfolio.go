@@ -8,14 +8,6 @@ import (
 	"repro/internal/place"
 )
 
-// annealPortfolio runs K independent simulated-annealing placements with
-// seeds base, base+1, …, base+K-1 concurrently and returns the winner.
-// Each anneal is fully deterministic in its seed, and the winner is
-// chosen by the deterministic (energy, seed) tie-break — strictly lowest
-// Eq. 3 energy first, smallest seed on exact ties — so the portfolio's
-// output is a pure function of (inputs, base seed, K) regardless of
-// goroutine scheduling. K <= 1 degenerates to the plain single-seed
-// anneal and reproduces it exactly.
 // annealPlacement dispatches the proposed flow's placement search:
 // parallel tempering when tempering >= 2 (it subsumes the portfolio —
 // replicas already span distinct seeds), otherwise the K-seed portfolio.
@@ -26,6 +18,14 @@ func annealPlacement(ctx context.Context, comps []chip.Component, nets []place.N
 	return annealPortfolio(ctx, comps, nets, pr, portfolio)
 }
 
+// annealPortfolio runs K independent simulated-annealing placements with
+// seeds base, base+1, …, base+K-1 concurrently and returns the winner.
+// Each anneal is fully deterministic in its seed, and the winner is
+// chosen by the deterministic (energy, seed) tie-break — strictly lowest
+// Eq. 3 energy first, smallest seed on exact ties — so the portfolio's
+// output is a pure function of (inputs, base seed, K) regardless of
+// goroutine scheduling. K <= 1 degenerates to the plain single-seed
+// anneal and reproduces it exactly.
 func annealPortfolio(ctx context.Context, comps []chip.Component, nets []place.Net, pr place.Params, k int) (*place.Placement, error) {
 	if k <= 1 {
 		return place.AnnealContext(ctx, comps, nets, pr)

