@@ -51,10 +51,12 @@ bench-smoke:
 		echo "$$out" | grep -q "$$b" || { echo "bench-smoke: benchmark $$b missing from output" >&2; exit 1; }; \
 	done
 
-# Workload-engine benchmarks, same loud-fail guard: the warm batch-submit
-# path and schedule materialization must both still exist by name.
-BENCH_LOAD_NAMES := BenchmarkBatchSubmit BenchmarkScheduleBuild
-BENCH_LOAD_REGEX := BenchmarkBatchSubmit|BenchmarkScheduleBuild
+# Serving and workload-engine benchmarks, same loud-fail guard: the warm
+# single-submit hit, request-to-cache-key resolution, the warm
+# batch-submit path and schedule materialization must all still exist by
+# name.
+BENCH_LOAD_NAMES := BenchmarkServeCacheHit BenchmarkCacheKey BenchmarkBatchSubmit BenchmarkScheduleBuild
+BENCH_LOAD_REGEX := BenchmarkServeCacheHit|BenchmarkCacheKey|BenchmarkBatchSubmit|BenchmarkScheduleBuild
 
 bench-load:
 	@out=$$($(GO) test -run xxx -bench '$(BENCH_LOAD_REGEX)' -benchtime 1x ./internal/server/ ./internal/loadgen/ 2>&1); \

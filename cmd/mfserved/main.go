@@ -62,7 +62,7 @@ func main() {
 		queueCap  = flag.Int("queue", 64, "bounded job-queue capacity (beyond it: HTTP 429)")
 		cacheMB   = flag.Int64("cache-mb", 256, "result-cache bound in MiB")
 		jobTO     = flag.Duration("job-timeout", 2*time.Minute, "per-job synthesis deadline (<0 disables)")
-		retain    = flag.Int("retain", 4096, "finished jobs kept pollable")
+		retain    = flag.Int("retain", 4096, "finished jobs kept pollable, and closed or abandoned sessions kept readable")
 		jrnlPath  = flag.String("journal", "", "crash-safe job journal path; pending jobs from a previous process are resubmitted on start (empty disables)")
 		sloSpec   = flag.String("slo", "", `latency objectives like "p99=250ms,p95=100ms"; enables the SLO metric families (empty disables)`)
 		flightN   = flag.Int("flight", 256, "flight-recorder ring size: recent completed requests kept for /debug/requests and the SIGQUIT dump")

@@ -178,12 +178,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// trace, so a traced batch yields one timeline per member job.
 		rec := s.newRecorder(traceID, parentSpan)
 
-		if data, hit := s.cache.Get(req.key); hit {
-			res, err := resultFromCache(req.key, data)
-			if err != nil {
+		if e := s.cached(req.key); e != nil {
+			if err := e.Check(); err != nil {
 				writeErr(w, http.StatusInternalServerError, "member %d: cached solution invalid: %v", i, err)
 				return
 			}
+			res := cachedResult(req.key, e)
 			s.seal(rec, res, routeCacheHit)
 			id, err := s.q.Complete(label, res, "served from cache")
 			if err != nil {

@@ -58,7 +58,10 @@ type Config struct {
 	// JobTimeout is the per-job synthesis deadline (default 120 s;
 	// negative disables).
 	JobTimeout time.Duration
-	// Retain bounds how many finished jobs stay pollable (default 4096).
+	// Retain bounds how many finished jobs stay pollable, and separately
+	// how many terminal (closed or abandoned) chip sessions stay readable
+	// (default 4096 each). Beyond it the oldest is evicted and its ID
+	// answers 404, like an unknown one.
 	Retain int
 	// Logger receives the structured request and job logs. Nil discards
 	// them (the default for tests and embedded use).
@@ -149,9 +152,12 @@ type Server struct {
 
 	// Chip-session state (see internal/session): long-lived pinned
 	// solutions repaired in place against fault reports. sessions maps
-	// session ID to its entry; sessSeq numbers server-assigned IDs.
+	// session ID to its entry; retired lists the terminal ones, oldest
+	// first, for eviction beyond Config.Retain; sessSeq numbers
+	// server-assigned IDs.
 	smu      sync.Mutex
 	sessions map[string]*sessionEntry
+	retired  []*sessionEntry
 	sessSeq  atomic.Uint64
 	sessSem  chan struct{} // bounds inline session-create syntheses to the pool size
 }
@@ -160,8 +166,8 @@ type Server struct {
 type jobResult struct {
 	key          string
 	cached       bool
-	peer         string // cluster peer that produced/served the solution, if any
-	solution     []byte // canonical solio document
+	peer         string          // cluster peer that produced/served the solution, if any
+	entry        *solcache.Entry // the solution's shared cache entry: its Doc is the served document
 	metrics      core.Metrics
 	stages       core.StageTimes
 	degradations []core.Degradation
@@ -197,6 +203,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 64
+	}
+	if cfg.Retain <= 0 {
+		cfg.Retain = 4096
 	}
 	if cfg.JobTimeout == 0 {
 		cfg.JobTimeout = 120 * time.Second
@@ -496,15 +505,14 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(cluster.HeaderTraceID, rec.TraceID())
 
 	probeStart := time.Now()
-	data, hit := s.cache.Get(req.key)
-	if hit {
+	if e := s.cached(req.key); e != nil {
 		rec.Add("cache.probe", "", probeStart, time.Since(probeStart), "hit")
-		res, err := resultFromCache(req.key, data)
-		if err != nil {
+		if err := e.Check(); err != nil {
 			// A corrupt cache entry is a server bug; fail loudly.
 			writeErr(w, http.StatusInternalServerError, "cached solution invalid: %v", err)
 			return
 		}
+		res := cachedResult(req.key, e)
 		s.seal(rec, res, routeCacheHit)
 		id, err := s.q.Complete(RequestID(r.Context()), res, "served from cache")
 		if err != nil {
@@ -528,15 +536,16 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		hops = cluster.Hops(r.Header)
 		pctx := obs.WithSpans(r.Context(), rec) // peer probes record peer.fetch spans
 		if doc, peer, ok := s.cl.FetchSolution(pctx, req.key, RequestID(r.Context())); ok {
-			res, err := resultFromCache(req.key, doc)
+			e, err := solcache.DecodeEntry(doc)
 			if err != nil {
 				// A peer vouched for bytes that don't decode: don't cache
 				// them, just synthesize as if the peering missed.
 				s.log.Warn("peer solution invalid, synthesizing locally",
 					"peer", peer, "key", req.key, "err", err)
 			} else {
+				res := cachedResult(req.key, e)
 				res.peer = peer
-				s.cache.Put(req.key, res.solution)
+				s.cache.PutEntry(req.key, e)
 				s.seal(rec, res, routePeerHit)
 				id, err := s.q.Complete(RequestID(r.Context()), res, "served from peer "+peer)
 				if err != nil {
@@ -705,23 +714,33 @@ func (s *Server) synthesizeLocal(ctx context.Context, req *request, progress fun
 	s.metrics.histRoute.observe(stages.Route)
 	s.metrics.histTotal.observe(met.CPU)
 
-	// Canonicalize: CPU time is measurement, not solution content.
-	// Zeroing it makes the document a pure function of the request, so
-	// cache-served and freshly synthesized responses are byte-identical.
+	e, err := encodeEntry(sol)
+	if err != nil {
+		return nil, err
+	}
+	s.cache.PutEntry(req.key, e)
+	progress("done")
+	return &jobResult{key: req.key, entry: e, metrics: met,
+		stages: stages, degradations: sol.Degradations}, nil
+}
+
+// encodeEntry encodes a freshly synthesized solution into its cache
+// entry. Canonicalize first: CPU time is measurement, not solution
+// content, and zeroing it makes the document a pure function of the
+// request, so cache-served and freshly synthesized responses are
+// byte-identical. The encode runs in a pooled buffer; the entry owns an
+// exact-size copy, never pool memory. A local synthesis is audited only
+// under Options.Verify, after a degradation or with a fault plan armed,
+// so the entry starts unchecked and its first read decodes it.
+func encodeEntry(sol *core.Solution) (*solcache.Entry, error) {
 	sol.CPU = 0
-	// Encode into a pooled buffer, then copy out an exact-size document:
-	// the cache and the job record retain the copy, never pool memory.
 	buf := getBuf()
+	defer putBuf(buf)
 	if err := solio.Encode(buf, sol); err != nil {
-		putBuf(buf)
 		return nil, err
 	}
 	doc := append([]byte(nil), buf.Bytes()...)
-	putBuf(buf)
-	s.cache.Put(req.key, doc)
-	progress("done")
-	return &jobResult{key: req.key, solution: doc, metrics: met,
-		stages: stages, degradations: sol.Degradations}, nil
+	return solcache.NewEntry(doc, sol.Metrics(), sol.Degradations), nil
 }
 
 // owner resolves the ring owner of key; a non-clustered server owns
@@ -759,13 +778,14 @@ func (s *Server) forwardJob(req *request, owner, requestID string, hops int, bod
 		doc, spans, err := s.cl.SynthesizeRemote(fctx, owner, req.key, requestID,
 			obs.TraceContext{TraceID: rec.TraceID(), Parent: fid}, hops, body)
 		if err == nil {
-			res, derr := resultFromCache(req.key, doc)
+			e, derr := solcache.DecodeEntry(doc)
 			if derr == nil {
 				rec.AddID(fid, "forward", "", fstart, time.Since(fstart), owner)
 				rec.Import(spans)
+				res := cachedResult(req.key, e)
 				res.cached = false
 				res.peer = owner
-				s.cache.Put(req.key, res.solution)
+				s.cache.PutEntry(req.key, e)
 				progress("done (synthesized by " + owner + ")")
 				s.seal(rec, res, routeForwarded)
 				return res, nil
@@ -787,7 +807,7 @@ func (s *Server) forwardJob(req *request, owner, requestID string, hops int, bod
 		if s.cl.Healthy(owner) {
 			wbStart := time.Now()
 			wctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 3*time.Second)
-			if werr := s.cl.WriteBack(wctx, owner, req.key, requestID, res.solution); werr != nil {
+			if werr := s.cl.WriteBack(wctx, owner, req.key, requestID, res.entry.Doc); werr != nil {
 				s.log.Info("write-back to owner failed", "owner", owner, "key", req.key, "err", werr)
 			}
 			cancel()
@@ -798,16 +818,23 @@ func (s *Server) forwardJob(req *request, owner, requestID string, hops int, bod
 	}
 }
 
-// resultFromCache rebuilds a jobResult from a cached document, decoding
-// it to recover the solution metrics (and, as a side effect, re-running
-// every validator on the cached bytes).
-func resultFromCache(key string, data []byte) (*jobResult, error) {
-	sol, err := solio.Decode(bytes.NewReader(data))
+// cached reads key's entry from the cache, nil on a miss. A document
+// that fails its CRC-32C has already been dropped by the cache and
+// counts as a miss; it is logged here, and the caller synthesizes anew.
+func (s *Server) cached(key string) *solcache.Entry {
+	e, err := s.cache.GetEntry(key)
 	if err != nil {
-		return nil, err
+		s.log.Warn("cached solution corrupted, dropped", "key", key, "err", err)
 	}
-	return &jobResult{key: key, cached: true, solution: data,
-		metrics: sol.Metrics(), degradations: sol.Degradations}, nil
+	return e
+}
+
+// cachedResult builds the jobResult of a request answered by a checked
+// entry (solcache.Entry.Check). It costs no decode: the metrics and
+// degradations are the entry's, and the document is shared, not copied.
+func cachedResult(key string, e *solcache.Entry) *jobResult {
+	return &jobResult{key: key, cached: true, entry: e,
+		metrics: e.Metrics, degradations: e.Degradations}
 }
 
 // metricsJSON mirrors core.Metrics with explicit units.
@@ -923,7 +950,7 @@ func (s *Server) handleSolution(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Cache-Key", res.key)
-	_, _ = w.Write(res.solution)
+	_, _ = w.Write(res.entry.Doc)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {

@@ -17,7 +17,6 @@ import (
 	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/session"
-	"repro/internal/solio"
 )
 
 // session.go: the chip-session API — long-lived sessions that pin one
@@ -70,11 +69,32 @@ type sessionEntry struct {
 	cells   int      // last cumulative dead-cell count (gauge delta tracking)
 }
 
-// session looks up a live session by ID.
+// session looks up a session by ID: a live one, or a terminal one not
+// yet evicted.
 func (s *Server) session(id string) *sessionEntry {
 	s.smu.Lock()
 	defer s.smu.Unlock()
 	return s.sessions[id]
+}
+
+// retireSession records that st reached a terminal state (closed or
+// abandoned) and evicts the oldest terminal sessions beyond
+// Config.Retain, so a long-running server holds a bounded number of
+// them. An evicted ID answers 404 like an unknown one. Journal replay
+// cannot bring one back: a session's close or abandon already wrote the
+// terminal records of all its entries.
+func (s *Server) retireSession(st *sessionEntry) {
+	s.smu.Lock()
+	defer s.smu.Unlock()
+	s.retired = append(s.retired, st)
+	for len(s.retired) > s.cfg.Retain {
+		old := s.retired[0]
+		s.retired[0] = nil
+		s.retired = s.retired[1:]
+		if id := old.sess.ID(); s.sessions[id] == old {
+			delete(s.sessions, id)
+		}
+	}
 }
 
 // sessionResponse is the body of POST /v1/sessions.
@@ -205,13 +225,16 @@ func (s *Server) openSession(ctx context.Context, sid string, req *request, rec 
 // the node.
 func (s *Server) sessionSolution(ctx context.Context, req *request, rec *obs.SpanRecorder) (*core.Solution, bool, error) {
 	probeStart := time.Now()
-	if data, hit := s.cache.Get(req.key); hit {
+	if e := s.cached(req.key); e != nil {
 		rec.Add("cache.probe", "", probeStart, time.Since(probeStart), "hit")
-		if sol, err := solio.Decode(bytes.NewReader(data)); err == nil {
+		// The session needs a solution of its own to repair: on an
+		// unchecked entry this decode is the entry's check, on a checked
+		// one it skips the validators.
+		if sol, err := e.Solution(); err == nil {
 			return sol, true, nil
 		}
-		// A corrupt cache entry falls through to a fresh synthesis, which
-		// overwrites it.
+		// An entry that fails its check falls through to a fresh
+		// synthesis; the failed entry keeps its key.
 	} else {
 		rec.Add("cache.probe", "", probeStart, time.Since(probeStart), "miss")
 	}
@@ -225,7 +248,7 @@ func (s *Server) sessionSolution(ctx context.Context, req *request, rec *obs.Spa
 	if err != nil {
 		return nil, false, err
 	}
-	sol, err := solio.Decode(bytes.NewReader(res.solution))
+	sol, err := res.entry.Solution()
 	if err != nil {
 		return nil, false, err
 	}
@@ -323,6 +346,7 @@ func (s *Server) handleSessionFault(w http.ResponseWriter, r *http.Request) {
 		s.metrics.sessionRepairs.Add(session.OutcomeAbandoned, 1)
 		s.metrics.histRepair.observe(rd.Dur)
 		s.metrics.sessionsLive.Add(-1)
+		s.retireSession(st)
 		s.sealSessionRepair(r, rec, session.OutcomeAbandoned, err.Error(), start)
 		s.slo.Fail()
 		writeJSON(w, http.StatusOK, repairResponse{
@@ -381,6 +405,7 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 	st.mu.Unlock()
 	if wasActive {
 		s.metrics.sessionsLive.Add(-1)
+		s.retireSession(st)
 	}
 	writeJSON(w, http.StatusOK, st.sess.Snapshot())
 }
@@ -518,6 +543,7 @@ func (s *Server) replaySessionRecord(rec journal.Record) {
 			s.metrics.sessionRepairs.Add(session.OutcomeAbandoned, 1)
 			s.metrics.sessionsLive.Add(-1)
 			s.replayed.Add(1)
+			s.retireSession(st)
 		default:
 			st.mu.Unlock()
 			s.log.Warn("journal replay: repair failed", "entry", rec.ID, "session", sid, "err", err)

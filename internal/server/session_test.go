@@ -2,12 +2,15 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -275,5 +278,96 @@ func TestSessionClusterRouting(t *testing.T) {
 	}
 	if snap.State != session.Closed {
 		t.Errorf("state after close = %s", snap.State)
+	}
+}
+
+// TestSessionEvictionBounded: terminal sessions beyond Config.Retain are
+// evicted oldest first, so create-and-close cycles, run from two clients
+// at once, leave a bounded session map and a live heap that does not
+// grow with the number of cycles. An evicted ID answers 404 like an
+// unknown one; open sessions are never evicted.
+func TestSessionEvictionBounded(t *testing.T) {
+	const retain = 16
+	s, err := New(Config{Workers: 2, QueueCap: 8, Retain: retain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	})
+	do := func(method, path, body string) (int, string) {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec.Code, rec.Body.String()
+	}
+	// cycle creates a session and, unless keep, closes it. It reports
+	// failures with t.Error, so clients may run it concurrently.
+	cycle := func(keep bool) string {
+		code, body := do(http.MethodPost, "/v1/sessions", sessionBody)
+		var sr sessionResponse
+		if code != http.StatusCreated || json.Unmarshal([]byte(body), &sr) != nil {
+			t.Errorf("create: %d: %s", code, body)
+			return ""
+		}
+		if !keep {
+			if code, body := do(http.MethodPost, "/v1/sessions/"+sr.ID+"/close", ""); code != http.StatusOK {
+				t.Errorf("close %s: %d: %s", sr.ID, code, body)
+			}
+		}
+		return sr.ID
+	}
+	cycles := func(n int) {
+		var wg sync.WaitGroup
+		for c := 0; c < 2; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < n/2; i++ {
+					cycle(false)
+				}
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+
+	open := []string{cycle(true), cycle(true)}
+	firstClosed := cycle(false)
+	cycles(2 * retain)
+	before := liveHeap()
+	const more = 200
+	cycles(more)
+	grown := liveHeap() - before
+
+	s.smu.Lock()
+	held := len(s.sessions)
+	s.smu.Unlock()
+	if held > retain+len(open) {
+		t.Fatalf("%d sessions held after %d cycles, want at most %d closed + %d open",
+			held, 1+2*retain+more, retain, len(open))
+	}
+	// Without eviction each closed Synthetic3 session stays in the map,
+	// and these 200 cycles grew the live heap by about 7 MiB.
+	if grown > 1<<20 {
+		t.Fatalf("live heap grew %d KiB over %d create-and-close cycles", grown>>10, more)
+	}
+	if code, body := do(http.MethodGet, "/v1/sessions/"+firstClosed, ""); code != http.StatusNotFound {
+		t.Fatalf("evicted session %s: %d: %s, want 404", firstClosed, code, body)
+	}
+	for _, id := range open {
+		if code, body := do(http.MethodGet, "/v1/sessions/"+id, ""); code != http.StatusOK {
+			t.Fatalf("open session %s: %d: %s", id, code, body)
+		}
 	}
 }

@@ -184,6 +184,13 @@ func TestDebugRequestsFlight(t *testing.T) {
 	if jr := waitTerminal(t, base, first.JobID, 60*time.Second); jr.Status != "done" {
 		t.Fatalf("job: %s (%s)", jr.Status, jr.Error)
 	}
+	// The queue's OnTerminal observer writes the job's flight record
+	// after the status flips to done, so wait on the record itself.
+	for deadline := time.Now().Add(10 * time.Second); !hasFlightRoute(t, base, routeLocal); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no local-route flight record 10 s after the job finished")
+		}
+	}
 	// Same body again: a cache hit, recorded with its own route.
 	var second submitResponse
 	if code := postJSON(t, base, "/v1/synthesize", body, &second); code != http.StatusOK {
@@ -244,6 +251,28 @@ func TestDebugRequestsFlight(t *testing.T) {
 			t.Fatalf("slowest view not sorted: %v then %v", slow.Slowest[i-1].DurMs, slow.Slowest[i].DurMs)
 		}
 	}
+}
+
+// hasFlightRoute reports whether /debug/requests holds a record with the
+// given route.
+func hasFlightRoute(t *testing.T, base, route string) bool {
+	t.Helper()
+	code, data := getBody(t, base, "/debug/requests")
+	if code != http.StatusOK {
+		t.Fatalf("GET /debug/requests: %d: %s", code, data)
+	}
+	var dump struct {
+		Records []obs.RequestRecord `json:"records"`
+	}
+	if err := json.Unmarshal(data, &dump); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range dump.Records {
+		if r.Route == route {
+			return true
+		}
+	}
+	return false
 }
 
 // TestPromTraceSLOFamilies scrapes a clustered node with an SLO set
