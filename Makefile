@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-hot check bench bench-smoke bench-load bench-multicore cluster-bench load-bench session-bench overload-bench verify regress table1 clean
+.PHONY: all build vet vet-svcbench test race race-hot check bench bench-smoke bench-load bench-multicore cluster-bench load-bench session-bench overload-bench verify regress table1 clean
 
 all: check
 
@@ -12,6 +12,14 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# svcbench is its own module (replace repro => ../) built from this
+# tree's server, cache, journal, session and pipeline packages, so vet
+# builds it too: a refactor that breaks the benchmark fails here, not on
+# the next benchmark run. It uses the ordinary go cache; svcbench/run.sh
+# keeps its own under .bench_build/svcbench, which its sweep owns.
+vet-svcbench:
+	cd svcbench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -26,10 +34,10 @@ race:
 race-hot:
 	$(GO) test -race -count=2 ./internal/obs/ ./internal/server/ ./internal/jobq/
 
-# The full pre-merge gate: compile, vet, race-enabled tests, the hot
-# concurrency packages twice, and smoke runs of the performance-critical
-# and workload-engine benchmarks.
-check: build vet race race-hot bench-smoke bench-load
+# The full pre-merge gate: compile, vet (this module and svcbench),
+# race-enabled tests, the hot concurrency packages twice, and smoke runs
+# of the performance-critical and serving benchmarks.
+check: build vet vet-svcbench race race-hot bench-smoke bench-load
 
 # Full benchmark suite with allocation counts (slow).
 bench:
@@ -53,13 +61,14 @@ bench-smoke:
 
 # Serving and workload-engine benchmarks, same loud-fail guard: the warm
 # single-submit hit, request-to-cache-key resolution, the warm
-# batch-submit path and schedule materialization must all still exist by
-# name.
-BENCH_LOAD_NAMES := BenchmarkServeCacheHit BenchmarkCacheKey BenchmarkBatchSubmit BenchmarkScheduleBuild
-BENCH_LOAD_REGEX := BenchmarkServeCacheHit|BenchmarkCacheKey|BenchmarkBatchSubmit|BenchmarkScheduleBuild
+# batch-submit path, schedule materialization, the journal's accept and
+# terminal appends, and solution encode and decode must all still exist
+# by name.
+BENCH_LOAD_NAMES := BenchmarkServeCacheHit BenchmarkCacheKey BenchmarkBatchSubmit BenchmarkScheduleBuild BenchmarkJournalAppend BenchmarkSolioEncode BenchmarkSolioDecode
+BENCH_LOAD_REGEX := BenchmarkServeCacheHit|BenchmarkCacheKey|BenchmarkBatchSubmit|BenchmarkScheduleBuild|BenchmarkJournalAppend|BenchmarkSolioEncode|BenchmarkSolioDecode
 
 bench-load:
-	@out=$$($(GO) test -run xxx -bench '$(BENCH_LOAD_REGEX)' -benchtime 1x ./internal/server/ ./internal/loadgen/ 2>&1); \
+	@out=$$($(GO) test -run xxx -bench '$(BENCH_LOAD_REGEX)' -benchtime 1x ./internal/server/ ./internal/loadgen/ ./internal/journal/ ./internal/solio/ 2>&1); \
 	status=$$?; echo "$$out"; \
 	if [ $$status -ne 0 ]; then exit $$status; fi; \
 	for b in $(BENCH_LOAD_NAMES); do \

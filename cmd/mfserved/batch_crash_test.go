@@ -107,19 +107,19 @@ func TestBatchCrashRecoveryReplaysMembers(t *testing.T) {
 		}
 	}()
 
-	if got := metricsNum(t, base2, "journal_replayed"); got != 4 {
+	if got := metricsNum(t, base2, "mfserved_journal_replayed_total"); got != 4 {
 		t.Fatalf("journal_replayed = %d, want 4 (3 unique members + pinned job, duplicates excluded)", got)
 	}
 	deadline = time.Now().Add(2 * time.Minute)
 	for {
-		done := metricsNum(t, base2, "jobs_done")
-		failed := metricsNum(t, base2, "jobs_failed")
+		done := metricsNum(t, base2, `mfserved_jobs_finished_total{status="done"}`)
+		failed := metricsNum(t, base2, `mfserved_jobs_finished_total{status="failed"}`)
 		if done+failed > 4 {
 			t.Fatalf("more terminal jobs than accepted: done=%d failed=%d — duplicated replay", done, failed)
 		}
 		if done+failed == 4 {
 			if done < 3 {
-				t.Fatalf("jobs_done=%d jobs_failed=%d, want the three members done", done, failed)
+				t.Fatalf("jobs finished done=%d failed=%d, want the three members done", done, failed)
 			}
 			break
 		}

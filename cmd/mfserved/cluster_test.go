@@ -172,13 +172,13 @@ func TestClusterSurvivesNodeKill(t *testing.T) {
 	cmds[0], _ = startServed(t, bin, nodeArgs(0)...)
 	stopped[0] = false
 	base0 := urls[0]
-	if got := metricsNum(t, base0, "journal_replayed"); got != int64(len(pending)) {
+	if got := metricsNum(t, base0, "mfserved_journal_replayed_total"); got != int64(len(pending)) {
 		t.Fatalf("journal_replayed = %d, want %d", got, len(pending))
 	}
 	deadline := time.Now().Add(2 * time.Minute)
 	for {
-		done := metricsNum(t, base0, "jobs_done")
-		failed := metricsNum(t, base0, "jobs_failed")
+		done := metricsNum(t, base0, `mfserved_jobs_finished_total{status="done"}`)
+		failed := metricsNum(t, base0, `mfserved_jobs_finished_total{status="failed"}`)
 		if done+failed >= int64(len(pending)) {
 			if failed > 0 {
 				t.Fatalf("replayed jobs failed: done=%d failed=%d", done, failed)

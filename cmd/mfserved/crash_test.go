@@ -15,6 +15,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -80,23 +81,27 @@ func submit(t *testing.T, base, body string) string {
 	return sub.JobID
 }
 
-func metricsNum(t *testing.T, base, key string) int64 {
+// metricsNum reads one series (`name` or `name{labels}`, labels as
+// rendered) from the server's /metrics exposition.
+func metricsNum(t *testing.T, base, series string) int64 {
 	t.Helper()
-	resp, err := http.Get(base + "/metrics.json")
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
-		t.Fatalf("GET /metrics.json: %v", err)
+		t.Fatalf("GET /metrics: %v", err)
 	}
 	data, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(data, &m); err != nil {
-		t.Fatalf("decoding metrics: %v", err)
+	for _, line := range strings.Split(string(data), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			n, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("/metrics %s = %q: %v", series, v, err)
+			}
+			return int64(n)
+		}
 	}
-	var v int64
-	if err := json.Unmarshal(m[key], &v); err != nil {
-		t.Fatalf("metrics %q = %s: %v", key, m[key], err)
-	}
-	return v
+	t.Fatalf("/metrics has no series %s", series)
+	return 0
 }
 
 func TestCrashRecoveryReplaysAcceptedJobs(t *testing.T) {
@@ -163,13 +168,13 @@ func TestCrashRecoveryReplaysAcceptedJobs(t *testing.T) {
 		}
 	}()
 
-	if got := metricsNum(t, base2, "journal_replayed"); got != 4 {
+	if got := metricsNum(t, base2, "mfserved_journal_replayed_total"); got != 4 {
 		t.Fatalf("journal_replayed = %d, want 4", got)
 	}
 	deadline = time.Now().Add(2 * time.Minute)
 	for {
-		done := metricsNum(t, base2, "jobs_done")
-		failed := metricsNum(t, base2, "jobs_failed")
+		done := metricsNum(t, base2, `mfserved_jobs_finished_total{status="done"}`)
+		failed := metricsNum(t, base2, `mfserved_jobs_finished_total{status="failed"}`)
 		if done+failed > 4 {
 			t.Fatalf("more terminal jobs than accepted: done=%d failed=%d — duplicated replay", done, failed)
 		}
@@ -178,7 +183,7 @@ func TestCrashRecoveryReplaysAcceptedJobs(t *testing.T) {
 			// finishes or hits the 5s timeout — both are terminal, neither
 			// is lost.
 			if done < 3 {
-				t.Fatalf("jobs_done=%d jobs_failed=%d, want the three fast jobs done", done, failed)
+				t.Fatalf("jobs finished done=%d failed=%d, want the three fast jobs done", done, failed)
 			}
 			break
 		}

@@ -24,8 +24,7 @@
 //	POST /v1/jobs/{id}/cancel   cancel a queued or running job
 //	POST /v1/sessions           open a chip session (README "Online re-synthesis")
 //	GET  /healthz               liveness
-//	GET  /metrics               Prometheus text format
-//	GET  /metrics.json          the same state as expvar JSON
+//	GET  /metrics               Prometheus text format, the only metrics view
 //
 // The debug listener (-debug-addr) serves net/http/pprof on its own mux,
 // so profiling endpoints are never exposed on the API address. Load,

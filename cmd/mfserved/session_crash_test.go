@@ -162,7 +162,7 @@ func TestSessionCrashRecoveryReplaysLosslessly(t *testing.T) {
 		}
 	}()
 
-	if got := metricsNum(t, base2, "journal_replayed"); got < 2 {
+	if got := metricsNum(t, base2, "mfserved_journal_replayed_total"); got < 2 {
 		t.Fatalf("journal_replayed = %d, want >= 2 (session create + fault report)", got)
 	}
 	got, code := getSessionSnap(t, base2, sr.ID)

@@ -523,19 +523,18 @@ func (c *Cluster) watchPeersFile() {
 // ---- stats ---------------------------------------------------------------
 
 // PeerStats is one peer's point-in-time cluster counters, for the
-// Prometheus exposition and the JSON metrics view.
+// Prometheus exposition.
 type PeerStats struct {
-	Peer        string `json:"peer"`
-	Up          bool   `json:"up"`
-	Breaker     string `json:"breaker"`
-	ForwardOK   int64  `json:"forward_ok"`
-	ForwardFail int64  `json:"forward_fallback"`
-	PeerHits    int64  `json:"peer_hits"`
-	PeerMisses  int64  `json:"peer_misses"`
-	PeerErrors  int64  `json:"peer_errors"`
-	ProbeOK     int64  `json:"probe_ok"`
-	ProbeFail   int64  `json:"probe_fail"`
-	WriteBacks  int64  `json:"write_backs"`
+	Peer        string
+	Up          bool
+	ForwardOK   int64
+	ForwardFail int64
+	PeerHits    int64
+	PeerMisses  int64
+	PeerErrors  int64
+	ProbeOK     int64
+	ProbeFail   int64
+	WriteBacks  int64
 }
 
 // PeerStats returns counters for every non-self member, sorted by peer
@@ -547,10 +546,6 @@ func (c *Cluster) PeerStats() []PeerStats {
 	for p, d := range c.down {
 		down[p] = d
 	}
-	brks := make(map[string]*breaker.Breaker, len(c.brk))
-	for p, b := range c.brk {
-		brks[p] = b
-	}
 	c.mu.Unlock()
 
 	out := make([]PeerStats, 0, len(members))
@@ -561,7 +556,6 @@ func (c *Cluster) PeerStats() []PeerStats {
 		out = append(out, PeerStats{
 			Peer:        p,
 			Up:          !down[p],
-			Breaker:     brks[p].State(),
 			ForwardOK:   c.forwardOK.Value(p),
 			ForwardFail: c.forwardFail.Value(p),
 			PeerHits:    c.peerHits.Value(p),

@@ -139,12 +139,10 @@ type Stats struct {
 	Queued   int // jobs waiting in the FIFO
 	Capacity int // maximum queued jobs before Submit rejects
 	Detached int // running detached jobs (SubmitDetached)
-	Done     int // retained terminal jobs by status
-	Failed   int
-	Canceled int
-	// Cumulative totals since the queue started. Unlike the retained-job
-	// counts above they are monotonic (retention eviction never lowers
-	// them), which is what Prometheus counter semantics require.
+	// Terminal jobs by status since the queue started. They are
+	// monotonic (retention eviction never lowers them), which is what
+	// Prometheus counter semantics require, and reading them is O(1):
+	// Stats never scans the retained job records.
 	DoneTotal     int64
 	FailedTotal   int64
 	CanceledTotal int64
@@ -377,22 +375,11 @@ func (q *Queue) Cancel(id string) bool {
 func (q *Queue) Stats() Stats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	s := Stats{
+	return Stats{
 		Workers: q.workers, Busy: q.busy, Queued: len(q.pending), Capacity: q.capacity,
 		Detached:  q.detached,
 		DoneTotal: q.doneTotal, FailedTotal: q.failedTotal, CanceledTotal: q.canceledTotal,
 	}
-	for _, j := range q.jobs {
-		switch j.Status {
-		case Done:
-			s.Done++
-		case Failed:
-			s.Failed++
-		case Canceled:
-			s.Canceled++
-		}
-	}
-	return s
 }
 
 // Shutdown stops accepting submissions, lets the workers drain every

@@ -203,3 +203,26 @@ func TestGarbageLinesSkipped(t *testing.T) {
 		t.Fatalf("pending = %+v, want just e3", pending)
 	}
 }
+
+// BenchmarkJournalAppend is one served request's journal cost: the
+// acceptance record of a Table I request body and its terminal record,
+// each a single write to a file in the test's temp directory.
+func BenchmarkJournalAppend(b *testing.B) {
+	j, _, _, err := Open(filepath.Join(b.TempDir(), "jobs.journal"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer j.Close()
+	req := json.RawMessage(`{"bench":"Synthetic4","options":{"imax":60,"seed":1}}`)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id, err := j.Accepted("req-bench", req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := j.Terminal(id, "done"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -346,22 +347,26 @@ func TestFailedRepairClosesSession(t *testing.T) {
 			t.Fatalf("outcome %d: %+v", i, o)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/metrics.json")
+	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var vars struct {
-		Open *int `json:"sessions_open"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if vars.Open == nil {
-		t.Fatal("/metrics.json has no sessions_open")
+	var open string
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, "mfserved_sessions_open "); ok {
+			open = v
+		}
 	}
-	if *vars.Open != 0 {
-		t.Fatalf("sessions_open = %d after %d failed sessions, want 0", *vars.Open, len(outcomes))
+	if open == "" {
+		t.Fatal("/metrics has no mfserved_sessions_open")
+	}
+	if open != "0" {
+		t.Fatalf("sessions_open = %s after %d failed sessions, want 0", open, len(outcomes))
 	}
 }
 

@@ -9,9 +9,11 @@ import (
 // counterset.go: a small labeled-counter registry for metric families
 // whose label set is only known at runtime — the cluster layer's
 // per-peer forward/hit/miss/probe counts, where peers join and leave
-// with membership changes. The Aggregate's fixed atomic fields cover
-// everything with a static name; CounterSet covers the rest without
-// dragging in a metrics dependency.
+// with membership changes, and the server's answered requests by route,
+// requests by client-declared workload profile and session repairs by
+// outcome. The Aggregate's fixed atomic fields cover everything with a
+// static name; CounterSet covers the rest without dragging in a metrics
+// dependency. /metrics reads both at scrape time.
 
 // CounterSet is a concurrency-safe map from label to monotonic counter.
 // The zero value is ready to use. Counters are never removed: a peer
@@ -27,12 +29,24 @@ type CounterSet struct {
 // use. The returned *atomic.Int64 is stable for the set's lifetime, so
 // hot paths can look it up once and Add without further locking.
 func (s *CounterSet) Counter(label string) *atomic.Int64 {
+	return s.BoundedCounter(label, 0, "")
+}
+
+// BoundedCounter is Counter for labels a client chooses: once the set
+// holds limit labels, an unseen label gets overflow's counter instead of
+// a new one, so the set never exceeds limit+1 labels however many
+// distinct values arrive. A limit of 0 means no bound.
+func (s *CounterSet) BoundedCounter(label string, limit int, overflow string) *atomic.Int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.m == nil {
 		s.m = make(map[string]*atomic.Int64)
 	}
 	c, ok := s.m[label]
+	if !ok && limit > 0 && len(s.m) >= limit {
+		label = overflow
+		c, ok = s.m[label]
+	}
 	if !ok {
 		c = new(atomic.Int64)
 		s.m[label] = c

@@ -36,13 +36,13 @@ type SLOSet struct {
 
 // SLOStat is one objective's point-in-time report.
 type SLOStat struct {
-	Name       string  `json:"objective"`
-	Quantile   float64 `json:"quantile"`
-	TargetMs   float64 `json:"target_ms"`
-	Good       int64   `json:"good"`
-	Bad        int64   `json:"bad"`
-	Attainment float64 `json:"attainment"` // good/(good+bad); 1.0 with no traffic
-	BurnRate   float64 `json:"burn_rate"`  // (bad/total)/(1-quantile)
+	Name       string
+	Quantile   float64
+	TargetMs   float64
+	Good       int64
+	Bad        int64
+	Attainment float64 // good/(good+bad); 1.0 with no traffic
+	BurnRate   float64 // (bad/total)/(1-quantile)
 }
 
 // ParseSLO parses a "-slo p99=250ms,p95=100ms" spec. Each objective is

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -70,10 +71,10 @@ func TestBatchDedupeCollapsesDuplicates(t *testing.T) {
 		t.Fatal("distinct requests share a cache key")
 	}
 	// Exactly the two unique members became jobs.
-	if got := s.metrics.jobsAccepted.Value(); got != 2 {
+	if got := s.metrics.jobsAccepted.Load(); got != 2 {
 		t.Fatalf("jobs accepted = %d, want 2 (duplicates must not schedule work)", got)
 	}
-	if got := s.metrics.batchDeduped.Value(); got != 2 {
+	if got := s.metrics.batchDeduped.Load(); got != 2 {
 		t.Fatalf("batch_deduped = %d, want 2", got)
 	}
 	for _, i := range []int{0, 1} {
@@ -100,7 +101,7 @@ func TestBatchDedupeCollapsesDuplicates(t *testing.T) {
 	if got := s.cache.Stats().Hits - hitsBefore; got != 2 {
 		t.Fatalf("cache hits moved by %d, want 2 (one per unique member)", got)
 	}
-	if got := s.metrics.jobsAccepted.Value(); got != 2 {
+	if got := s.metrics.jobsAccepted.Load(); got != 2 {
 		t.Fatalf("warm batch scheduled new jobs: accepted = %d, want still 2", got)
 	}
 }
@@ -119,10 +120,10 @@ func TestBatchValidatesBeforeScheduling(t *testing.T) {
 	if msg, _ := out["error"].(string); !strings.Contains(msg, "member 1") {
 		t.Fatalf("error does not name the offending member: %v", out)
 	}
-	if got := s.metrics.jobsAccepted.Value(); got != 0 {
+	if got := s.metrics.jobsAccepted.Load(); got != 0 {
 		t.Fatalf("invalid batch scheduled %d jobs", got)
 	}
-	if got := s.metrics.batchRequests.Value(); got != 0 {
+	if got := s.metrics.batchRequests.Load(); got != 0 {
 		t.Fatalf("invalid batch counted as served: batch_requests = %d", got)
 	}
 }
@@ -195,8 +196,8 @@ func TestBatchOverflowRejectsPerMember(t *testing.T) {
 }
 
 // TestBatchWorkloadProfileCounter: a tagged batch shows up under the
-// per-profile counter in both the expvar map and the (otherwise gated)
-// Prometheus family, and a hostile label is sanitized.
+// (otherwise gated) per-profile Prometheus family, and a hostile label
+// is sanitized.
 func TestBatchWorkloadProfileCounter(t *testing.T) {
 	t.Parallel()
 	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 8})
@@ -213,15 +214,6 @@ func TestBatchWorkloadProfileCounter(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	var mj struct {
-		Workload map[string]int64 `json:"workload_requests"`
-	}
-	if code := getJSON(t, ts.URL, "/metrics.json", &mj); code != http.StatusOK {
-		t.Fatalf("metrics.json: %d", code)
-	}
-	if mj.Workload["steadyevil1"] != 2 {
-		t.Fatalf("workload map = %v, want sanitized steadyevil1=2", mj.Workload)
-	}
 	promResp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -230,6 +222,50 @@ func TestBatchWorkloadProfileCounter(t *testing.T) {
 	want := `mfserved_workload_requests_total{profile="steadyevil1"} 2`
 	if !strings.Contains(prom, want) {
 		t.Fatalf("prom exposition missing %q", want)
+	}
+}
+
+// TestWorkloadProfilesBounded: the profile label is client-chosen, so
+// the distinct labels are capped and the rest share one "other" series.
+// mfload's own profiles, tagged first, keep their series.
+func TestWorkloadProfilesBounded(t *testing.T) {
+	t.Parallel()
+	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 8})
+	var sub submitResponse
+	if code := postJSON(t, ts.URL, "/v1/synthesize", smallReq, &sub); code != http.StatusAccepted {
+		t.Fatalf("POST: %d", code)
+	}
+	if jr := waitTerminal(t, ts.URL, sub.JobID, 60*time.Second); jr.Status != "done" {
+		t.Fatalf("job: %s (%s)", jr.Status, jr.Error)
+	}
+	var labels []string
+	for _, p := range loadgen.Profiles() {
+		labels = append(labels, p.Name)
+	}
+	for i := len(labels); i < 100; i++ {
+		labels = append(labels, fmt.Sprintf("client-%03d", i))
+	}
+	for _, label := range labels {
+		postTaggedHit(t, ts.URL, label)
+	}
+
+	series := map[string]float64{}
+	var sum float64
+	for _, m := range findProm(parseProm(t, getText(t, ts.URL, "/metrics")), "mfserved_workload_requests_total") {
+		series[m.labels] = m.value
+		sum += m.value
+	}
+	if len(series) > maxWorkloadProfiles+1 || sum != 100 {
+		t.Fatalf("%d distinct profiles gave %d series summing to %v, want <= %d summing to 100",
+			len(labels), len(series), sum, maxWorkloadProfiles+1)
+	}
+	for _, p := range loadgen.Profiles() {
+		if got := series[`profile="`+p.Name+`"`]; got != 1 {
+			t.Errorf("profile %s counted %v, want 1", p.Name, got)
+		}
+	}
+	if got := series[`profile="other"`]; got != 100-maxWorkloadProfiles {
+		t.Errorf("other counted %v, want %d", got, 100-maxWorkloadProfiles)
 	}
 }
 
@@ -260,12 +296,8 @@ func TestBatchHeaderConstantMatchesLoadgen(t *testing.T) {
 			t.Fatalf("outcome: %+v", o)
 		}
 	}
-	var mj struct {
-		Workload map[string]int64 `json:"workload_requests"`
-	}
-	getJSON(t, ts.URL, "/metrics.json", &mj)
-	if mj.Workload["steady"] != 2 {
-		t.Fatalf("workload attribution = %v, want steady=2 — header constants drifted", mj.Workload)
+	if got := scrapeProm(t, ts.URL)(`mfserved_workload_requests_total{profile="steady"}`); got != 2 {
+		t.Fatalf("workload attribution = %v, want steady=2 — header constants drifted", got)
 	}
 }
 

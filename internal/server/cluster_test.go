@@ -357,7 +357,7 @@ func TestClusterFallbackAndWriteBack(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("owner missing the written-back solution: %d", resp.StatusCode)
 	}
-	if got := nodes[1].srv.metrics.peerStored.Value(); got != 1 {
+	if got := nodes[1].srv.metrics.peerStored.Load(); got != 1 {
 		t.Fatalf("owner peerStored = %d, want 1", got)
 	}
 }

@@ -74,22 +74,17 @@ func TestJournalReplayOnRestart(t *testing.T) {
 	jnl.Close()
 
 	_, ts := newTestServer(t, Config{Workers: 2, QueueCap: 8, JournalPath: path})
-	var m map[string]json.RawMessage
-	getJSON(t, ts.URL, "/metrics.json", &m)
-	var replayed int64
-	mustNum(t, m, "journal_replayed", &replayed)
-	if replayed != 1 {
-		t.Fatalf("journal_replayed = %d, want 1", replayed)
+	if replayed := scrapeProm(t, ts.URL)("mfserved_journal_replayed_total"); replayed != 1 {
+		t.Fatalf("journal_replayed = %v, want 1", replayed)
 	}
 
 	// The replayed job carries the crashed request's label; wait for it to
 	// finish via the cumulative done counter.
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		getJSON(t, ts.URL, "/metrics.json", &m)
-		var done, failed int64
-		mustNum(t, m, "jobs_done", &done)
-		mustNum(t, m, "jobs_failed", &failed)
+		metric := scrapeProm(t, ts.URL)
+		done := metric(`mfserved_jobs_finished_total{status="done"}`)
+		failed := metric(`mfserved_jobs_finished_total{status="failed"}`)
 		if failed != 0 {
 			t.Fatalf("replayed job failed")
 		}
@@ -160,7 +155,7 @@ func TestJournalUnreplayableRecord(t *testing.T) {
 // submissions exhaust their retries against a full queue, the breaker
 // opens and requests are shed with 503 without touching the queue.
 func TestBreakerShedsAfterSustainedOverflow(t *testing.T) {
-	_, ts := newTestServer(t, Config{
+	srv, ts := newTestServer(t, Config{
 		Workers: 1, QueueCap: 1,
 		SubmitRetries:    -1, // no retries: each overflow is immediate
 		BreakerThreshold: 2,
@@ -209,20 +204,18 @@ func TestBreakerShedsAfterSustainedOverflow(t *testing.T) {
 		t.Fatal("503 shed without Retry-After header")
 	}
 
-	var m map[string]json.RawMessage
-	getJSON(t, ts.URL, "/metrics.json", &m)
-	var shed, rejected int64
-	mustNum(t, m, "jobs_shed", &shed)
-	mustNum(t, m, "jobs_rejected", &rejected)
-	if shed != 1 {
-		t.Fatalf("jobs_shed = %d, want 1", shed)
+	metric := scrapeProm(t, ts.URL)
+	if shed := metric("mfserved_jobs_shed_total"); shed != 1 {
+		t.Fatalf("jobs_shed = %v, want 1", shed)
 	}
-	if rejected != 2 {
-		t.Fatalf("jobs_rejected = %d, want 2", rejected)
+	if rejected := metric("mfserved_jobs_rejected_total"); rejected != 2 {
+		t.Fatalf("jobs_rejected = %v, want 2", rejected)
 	}
-	var state string
-	if err := json.Unmarshal(m["breaker_state"], &state); err != nil || state != "open" {
-		t.Fatalf("breaker_state = %s (%v), want open", m["breaker_state"], err)
+	if open := metric("mfserved_breaker_open"); open != 1 {
+		t.Fatalf("breaker_open = %v, want 1", open)
+	}
+	if state := srv.brk.State(); state != "open" {
+		t.Fatalf("breaker state = %q, want open", state)
 	}
 
 	postJSON(t, ts.URL, "/v1/jobs/"+queued.JobID+"/cancel", "", nil)

@@ -1,32 +1,29 @@
 package server
 
 import (
-	"expvar"
-	"fmt"
 	"net/http"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
-// histogram is a fixed-bucket latency histogram implementing expvar.Var.
-// Buckets are cumulative-style upper bounds in milliseconds, chosen to
-// straddle the range from sub-millisecond cache hits to multi-second
-// synthetic-benchmark syntheses.
+// histBounds are the latency histograms' bucket upper bounds in
+// milliseconds; an implicit +Inf bucket follows. They straddle the range
+// from sub-millisecond cache hits to multi-second synthetic-benchmark
+// syntheses.
+var histBounds = [...]float64{0.1, 0.25, 0.5, 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
+
+// histogram is a fixed-bucket latency histogram. The zero value is
+// ready to use.
 type histogram struct {
 	mu     sync.Mutex
-	bounds []float64 // upper bounds (ms); an implicit +Inf bucket follows
-	counts []int64   // len(bounds)+1
+	counts [len(histBounds) + 1]int64
 	count  int64
 	sumMs  float64
-	maxMs  float64
-}
-
-var defaultBounds = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
-
-func newHistogram() *histogram {
-	return &histogram{bounds: defaultBounds, counts: make([]int64, len(defaultBounds)+1)}
 }
 
 // observe records one duration.
@@ -34,21 +31,16 @@ func (h *histogram) observe(d time.Duration) {
 	ms := float64(d) / float64(time.Millisecond)
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	i := sort.SearchFloat64s(h.bounds, ms)
-	h.counts[i]++
+	h.counts[sort.SearchFloat64s(histBounds[:], ms)]++
 	h.count++
 	h.sumMs += ms
-	if ms > h.maxMs {
-		h.maxMs = ms
-	}
 }
 
 // histSnapshot is a consistent point-in-time copy of a histogram, with
 // bucket counts already accumulated into the cumulative form Prometheus
-// histograms use (bucket i counts observations <= bounds[i]).
+// histograms use (bucket i counts observations <= histBounds[i]).
 type histSnapshot struct {
-	bounds     []float64 // upper bounds in ms, shared, never mutated
-	cumulative []int64   // len(bounds)+1; last entry is the +Inf bucket
+	cumulative [len(histBounds) + 1]int64 // last entry is the +Inf bucket
 	count      int64
 	sumMs      float64
 }
@@ -57,12 +49,7 @@ type histSnapshot struct {
 func (h *histogram) snapshot() histSnapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s := histSnapshot{
-		bounds:     h.bounds,
-		cumulative: make([]int64, len(h.counts)),
-		count:      h.count,
-		sumMs:      h.sumMs,
-	}
+	s := histSnapshot{count: h.count, sumMs: h.sumMs}
 	var run int64
 	for i, c := range h.counts {
 		run += c
@@ -71,137 +58,35 @@ func (h *histogram) snapshot() histSnapshot {
 	return s
 }
 
-// String renders the histogram as a JSON object (the expvar.Var
-// contract): {"count":N,"sum_ms":S,"max_ms":M,"buckets":{"le_10":n,...,"inf":n}}.
-func (h *histogram) String() string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var b strings.Builder
-	fmt.Fprintf(&b, `{"count":%d,"sum_ms":%.3f,"max_ms":%.3f,"buckets":{`, h.count, h.sumMs, h.maxMs)
-	for i, bound := range h.bounds {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, `"le_%g":%d`, bound, h.counts[i])
-	}
-	if len(h.bounds) > 0 {
-		b.WriteByte(',')
-	}
-	fmt.Fprintf(&b, `"inf":%d}}`, h.counts[len(h.bounds)])
-	return b.String()
-}
-
-// metrics aggregates the service's observability state into one
-// expvar.Map served at /metrics. The map is private (Init, not
-// expvar.Publish) so multiple servers — e.g. parallel tests — never
-// collide in the process-global registry.
+// metrics holds the serving counters no other layer owns. The queue, the
+// cache, the obs.Aggregate, the cluster and the SLO set keep their own;
+// handlePromMetrics reads all of them at scrape time. The zero value is
+// ready to use.
 type metrics struct {
-	vars *expvar.Map
+	jobsAccepted atomic.Int64
+	jobsRejected atomic.Int64   // 429s from a full queue
+	jobsShed     atomic.Int64   // 503s from the open circuit breaker
+	peerServed   atomic.Int64   // peer-cache GETs served with a solution
+	peerStored   atomic.Int64   // write-back PUTs accepted into the cache
+	routes       obs.CounterSet // answered requests by route (route* consts)
 
-	jobsAccepted *expvar.Int
-	jobsRejected *expvar.Int // 429s from a full queue
-	jobsShed     *expvar.Int // 503s from the open circuit breaker
-	peerServed   *expvar.Int // peer-cache GETs served with a solution
-	peerStored   *expvar.Int // write-back PUTs accepted into the cache
-	routeCounts  *expvar.Map // answered requests by route (route* consts)
+	batchRequests atomic.Int64   // POST /v1/synthesize/batch calls
+	batchMembers  atomic.Int64   // members across all batches
+	batchDeduped  atomic.Int64   // members collapsed onto an earlier member's job
+	workload      obs.CounterSet // requests by X-Workload-Profile label
 
-	batchRequests *expvar.Int // POST /v1/synthesize/batch calls
-	batchMembers  *expvar.Int // members across all batches
-	batchDeduped  *expvar.Int // members collapsed onto an earlier member's job
-	workload      *expvar.Map // requests by X-Workload-Profile label
+	sessionsOpened atomic.Int64   // chip sessions opened (counter)
+	sessionsLive   atomic.Int64   // sessions currently active (gauge)
+	sessionCells   atomic.Int64   // dead cells accumulated across all sessions (gauge)
+	sessionRepairs obs.CounterSet // fault-report repairs by outcome
 
-	sessionsOpened *expvar.Int // chip sessions opened (counter)
-	sessionsLive   *expvar.Int // sessions currently active (gauge)
-	sessionCells   *expvar.Int // dead cells accumulated across all sessions (gauge)
-	sessionRepairs *expvar.Map // fault-report repairs by outcome
-
-	histSchedule *histogram
-	histPlace    *histogram
-	histRoute    *histogram
-	histTotal    *histogram // synthesis wall-clock, cache misses only
-	histRequest  *histogram // POST /v1/synthesize handler latency
-	histRepair   *histogram // session fault-report repair latency
+	histSchedule histogram
+	histPlace    histogram
+	histRoute    histogram
+	histTotal    histogram // synthesis wall-clock, cache misses only
+	histRequest  histogram // POST /v1/synthesize handler latency
+	histRepair   histogram // session fault-report repair latency
 }
-
-// newMetrics wires the counters and gauge closures. The gauge funcs pull
-// live values from the queue and cache on every render, so /metrics never
-// goes stale.
-func newMetrics(s *Server) *metrics {
-	m := &metrics{
-		vars:           new(expvar.Map).Init(),
-		jobsAccepted:   new(expvar.Int),
-		jobsRejected:   new(expvar.Int),
-		jobsShed:       new(expvar.Int),
-		peerServed:     new(expvar.Int),
-		peerStored:     new(expvar.Int),
-		routeCounts:    new(expvar.Map).Init(),
-		batchRequests:  new(expvar.Int),
-		batchMembers:   new(expvar.Int),
-		batchDeduped:   new(expvar.Int),
-		workload:       new(expvar.Map).Init(),
-		sessionsOpened: new(expvar.Int),
-		sessionsLive:   new(expvar.Int),
-		sessionCells:   new(expvar.Int),
-		sessionRepairs: new(expvar.Map).Init(),
-		histSchedule:   newHistogram(),
-		histPlace:      newHistogram(),
-		histRoute:      newHistogram(),
-		histTotal:      newHistogram(),
-		histRequest:    newHistogram(),
-		histRepair:     newHistogram(),
-	}
-	m.vars.Set("uptime_s", expvar.Func(func() any {
-		return time.Since(s.start).Seconds()
-	}))
-	m.vars.Set("queue_depth", expvar.Func(func() any { return s.q.Stats().Queued }))
-	m.vars.Set("queue_capacity", expvar.Func(func() any { return s.q.Stats().Capacity }))
-	m.vars.Set("workers", expvar.Func(func() any { return s.q.Stats().Workers }))
-	m.vars.Set("workers_busy", expvar.Func(func() any { return s.q.Stats().Busy }))
-	m.vars.Set("jobs_done", expvar.Func(func() any { return s.q.Stats().Done }))
-	m.vars.Set("jobs_failed", expvar.Func(func() any { return s.q.Stats().Failed }))
-	m.vars.Set("jobs_canceled", expvar.Func(func() any { return s.q.Stats().Canceled }))
-	m.vars.Set("jobs_accepted", m.jobsAccepted)
-	m.vars.Set("jobs_rejected", m.jobsRejected)
-	m.vars.Set("jobs_shed", m.jobsShed)
-	m.vars.Set("batch_requests", m.batchRequests)
-	m.vars.Set("batch_members", m.batchMembers)
-	m.vars.Set("batch_deduped", m.batchDeduped)
-	m.vars.Set("workload_requests", m.workload)
-	m.vars.Set("sessions_opened", m.sessionsOpened)
-	m.vars.Set("sessions_open", m.sessionsLive)
-	m.vars.Set("session_cells_lost", m.sessionCells)
-	m.vars.Set("session_repairs", m.sessionRepairs)
-	m.vars.Set("breaker_state", expvar.Func(func() any { return s.brk.State() }))
-	m.vars.Set("journal_replayed", expvar.Func(func() any { return s.replayed.Load() }))
-	m.vars.Set("cache_hits", expvar.Func(func() any { return s.cache.Stats().Hits }))
-	m.vars.Set("cache_misses", expvar.Func(func() any { return s.cache.Stats().Misses }))
-	m.vars.Set("cache_entries", expvar.Func(func() any { return s.cache.Stats().Entries }))
-	m.vars.Set("cache_bytes", expvar.Func(func() any { return s.cache.Stats().Bytes }))
-	m.vars.Set("queue_detached", expvar.Func(func() any { return s.q.Stats().Detached }))
-	if s.cl != nil {
-		m.vars.Set("cluster_self", expvar.Func(func() any { return s.cl.Self() }))
-		m.vars.Set("cluster_members", expvar.Func(func() any { return len(s.cl.Members()) }))
-		m.vars.Set("cluster_peer_served", m.peerServed)
-		m.vars.Set("cluster_peer_stored", m.peerStored)
-		m.vars.Set("cluster_peers", expvar.Func(func() any { return s.cl.PeerStats() }))
-		m.vars.Set("trace_spans_total", expvar.Func(func() any { return s.spansTotal.Load() }))
-		m.vars.Set("flight_records_total", expvar.Func(func() any { return s.flight.Total() }))
-		m.vars.Set("requests_routed", m.routeCounts)
-	}
-	if s.slo != nil {
-		m.vars.Set("slo", expvar.Func(func() any { return s.slo.Stats() }))
-	}
-	m.vars.Set("latency_schedule_ms", m.histSchedule)
-	m.vars.Set("latency_place_ms", m.histPlace)
-	m.vars.Set("latency_route_ms", m.histRoute)
-	m.vars.Set("latency_synthesis_ms", m.histTotal)
-	m.vars.Set("latency_request_ms", m.histRequest)
-	m.vars.Set("latency_repair_ms", m.histRepair)
-	return m
-}
-
-// routed counts one answered request by the route it took.
-func (m *metrics) routed(route string) { m.routeCounts.Add(route, 1) }
 
 // WorkloadProfileHeader is the request header a load generator (see
 // internal/loadgen) uses to tag traffic with its workload profile. The
@@ -209,6 +94,15 @@ func (m *metrics) routed(route string) { m.routeCounts.Add(route, 1) }
 // outside the cache key, so tagged and untagged requests share
 // solutions.
 const WorkloadProfileHeader = "X-Workload-Profile"
+
+// maxWorkloadProfiles bounds the distinct workload-profile labels. The
+// label is client-chosen, and every label is a series each later scrape
+// renders, so profiles beyond the first maxWorkloadProfiles are counted
+// together under otherWorkloadProfile.
+const (
+	maxWorkloadProfiles  = 32
+	otherWorkloadProfile = "other"
+)
 
 // countWorkload attributes n requests to the inbound workload-profile
 // label, if the client sent one. Labels are restricted to a safe
@@ -218,51 +112,21 @@ func (s *Server) countWorkload(r *http.Request, n int) {
 	if p == "" {
 		return
 	}
-	s.metrics.workload.Add(p, int64(n))
+	s.metrics.workload.BoundedCounter(p, maxWorkloadProfiles, otherWorkloadProfile).Add(int64(n))
 }
 
-// workloadLabel cleans a client-supplied profile name: at most 64
-// bytes, [A-Za-z0-9_.-] only, anything else dropped.
+// workloadLabel cleans a client-supplied profile name: its first 64
+// bytes, [A-Za-z0-9_.-] only, anything else dropped. A clean name is
+// returned as is, without allocating.
 func workloadLabel(v string) string {
 	if len(v) > 64 {
 		v = v[:64]
 	}
-	ok := func(c byte) bool {
-		return c == '_' || c == '.' || c == '-' ||
-			('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z') || ('0' <= c && c <= '9')
-	}
-	clean := true
-	for i := 0; i < len(v); i++ {
-		if !ok(v[i]) {
-			clean = false
-			break
+	return strings.Map(func(c rune) rune {
+		if c == '_' || c == '.' || c == '-' ||
+			('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z') || ('0' <= c && c <= '9') {
+			return c
 		}
-	}
-	if clean {
-		return v
-	}
-	b := make([]byte, 0, len(v))
-	for i := 0; i < len(v); i++ {
-		if ok(v[i]) {
-			b = append(b, v[i])
-		}
-	}
-	return string(b)
-}
-
-// routeCount reads one route's counter (0 before its first request).
-func (m *metrics) routeCount(route string) float64 {
-	if v, ok := m.routeCounts.Get(route).(*expvar.Int); ok {
-		return float64(v.Value())
-	}
-	return 0
-}
-
-// repairCount reads one repair outcome's counter (0 before its first
-// repair).
-func (m *metrics) repairCount(outcome string) float64 {
-	if v, ok := m.sessionRepairs.Get(outcome).(*expvar.Int); ok {
-		return float64(v.Value())
-	}
-	return 0
+		return -1
+	}, v)
 }

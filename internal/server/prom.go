@@ -1,7 +1,6 @@
 package server
 
 import (
-	"expvar"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -12,14 +11,14 @@ import (
 	"repro/internal/session"
 )
 
-// prom.go renders the service state in the Prometheus text exposition
-// format (version 0.0.4), served at GET /metrics. The same state is
-// available as expvar JSON at /metrics.json; this view exists so a stock
-// Prometheus scrape — or promtool check metrics — works against mfserved
-// without an adapter. Counters come from the cumulative jobq totals and
-// the obs.Aggregate event sink, both monotonic; the retained-job counts
-// of the JSON view (which decay with retention eviction) are deliberately
-// not exported as counters.
+// prom.go is the service's one metrics renderer: it writes the
+// Prometheus text exposition format (version 0.0.4), served at
+// GET /metrics, so a stock Prometheus scrape — or promtool check
+// metrics — works against mfserved without an adapter. Nothing is
+// copied into a registry first: each scrape reads every counter from the
+// layer that owns it — the queue's monotonic job totals, the cache, the
+// obs.Aggregate event sink, the cluster's per-peer counters, the SLO
+// set, and the serving counters in metrics.go.
 
 // promFloat formats a sample value; Prometheus accepts Go's shortest
 // round-trip representation including exponents.
@@ -65,7 +64,7 @@ func (p *promWriter) counter(name, help string, v float64) {
 // are converted from the internal milliseconds to seconds, the
 // Prometheus base unit.
 func (p *promWriter) histogram(name, labels string, snap histSnapshot) {
-	for i, bound := range snap.bounds {
+	for i, bound := range histBounds {
 		le := `le="` + promFloat(bound/1000) + `"`
 		if labels != "" {
 			le = labels + "," + le
@@ -96,36 +95,24 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	p.sample("mfserved_jobs_finished_total", `status="done"`, float64(qs.DoneTotal))
 	p.sample("mfserved_jobs_finished_total", `status="failed"`, float64(qs.FailedTotal))
 	p.sample("mfserved_jobs_finished_total", `status="canceled"`, float64(qs.CanceledTotal))
-	p.counter("mfserved_jobs_accepted_total", "Synthesis submissions accepted into the queue.", float64(s.metrics.jobsAccepted.Value()))
-	p.counter("mfserved_jobs_rejected_total", "Synthesis submissions rejected with 429 (queue full).", float64(s.metrics.jobsRejected.Value()))
-	p.counter("mfserved_jobs_shed_total", "Synthesis submissions shed with 503 by the open circuit breaker.", float64(s.metrics.jobsShed.Value()))
+	p.counter("mfserved_jobs_accepted_total", "Synthesis submissions accepted into the queue.", float64(s.metrics.jobsAccepted.Load()))
+	p.counter("mfserved_jobs_rejected_total", "Synthesis submissions rejected with 429 (queue full).", float64(s.metrics.jobsRejected.Load()))
+	p.counter("mfserved_jobs_shed_total", "Synthesis submissions shed with 503 by the open circuit breaker.", float64(s.metrics.jobsShed.Load()))
 	p.gauge("mfserved_breaker_open", "1 while the load-shedding circuit breaker is open or half-open, 0 otherwise.", breakerOpenGauge(s.brk.State()))
 	p.counter("mfserved_journal_replayed_total", "Jobs resubmitted from the crash-safe journal at startup.", float64(s.replayed.Load()))
 
-	p.counter("mfserved_batch_requests_total", "POST /v1/synthesize/batch calls.", float64(s.metrics.batchRequests.Value()))
-	p.counter("mfserved_batch_members_total", "Batch members received across all batch calls.", float64(s.metrics.batchMembers.Value()))
-	p.counter("mfserved_batch_members_deduped_total", "Batch members collapsed onto an earlier member's job by cache-key dedupe.", float64(s.metrics.batchDeduped.Value()))
+	p.counter("mfserved_batch_requests_total", "POST /v1/synthesize/batch calls.", float64(s.metrics.batchRequests.Load()))
+	p.counter("mfserved_batch_members_total", "Batch members received across all batch calls.", float64(s.metrics.batchMembers.Load()))
+	p.counter("mfserved_batch_members_deduped_total", "Batch members collapsed onto an earlier member's job by cache-key dedupe.", float64(s.metrics.batchDeduped.Load()))
 
 	// Per-profile workload attribution, only once a client has tagged
 	// traffic with X-Workload-Profile, so an untagged scrape stays
-	// byte-stable with earlier releases. expvar.Map iterates its keys in
-	// sorted order, keeping the exposition deterministic.
-	{
-		type kv struct {
-			k string
-			v int64
-		}
-		var rows []kv
-		s.metrics.workload.Do(func(e expvar.KeyValue) {
-			if c, ok := e.Value.(*expvar.Int); ok {
-				rows = append(rows, kv{e.Key, c.Value()})
-			}
-		})
-		if len(rows) > 0 {
-			p.head("mfserved_workload_requests_total", "Synthesis requests by client-declared workload profile.", "counter")
-			for _, row := range rows {
-				p.sample("mfserved_workload_requests_total", `profile="`+row.k+`"`, float64(row.v))
-			}
+	// byte-stable with earlier releases. The snapshot is sorted by label,
+	// keeping the exposition deterministic.
+	if rows := s.metrics.workload.Snapshot(); len(rows) > 0 {
+		p.head("mfserved_workload_requests_total", "Synthesis requests by client-declared workload profile.", "counter")
+		for _, row := range rows {
+			p.sample("mfserved_workload_requests_total", `profile="`+row.Label+`"`, float64(row.Value))
 		}
 	}
 
@@ -173,8 +160,8 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.cl != nil {
 		p.gauge("mfserved_cluster_members", "Configured cluster members (alive or not).", float64(len(s.cl.Members())))
 		p.gauge("mfserved_cluster_detached_jobs", "Forward jobs currently running detached from the worker pool.", float64(qs.Detached))
-		p.counter("mfserved_cluster_peer_served_total", "Peer-cache lookups this node answered with a solution.", float64(s.metrics.peerServed.Value()))
-		p.counter("mfserved_cluster_peer_stored_total", "Write-back solutions this node accepted from siblings.", float64(s.metrics.peerStored.Value()))
+		p.counter("mfserved_cluster_peer_served_total", "Peer-cache lookups this node answered with a solution.", float64(s.metrics.peerServed.Load()))
+		p.counter("mfserved_cluster_peer_stored_total", "Write-back solutions this node accepted from siblings.", float64(s.metrics.peerStored.Load()))
 
 		stats := s.cl.PeerStats()
 		peerLabel := func(ps cluster.PeerStats) string { return `peer="` + ps.Peer + `"` }
@@ -213,7 +200,7 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 		p.counter("mfserved_trace_spans_total", "Trace spans recorded across all requests.", float64(s.spansTotal.Load()))
 		p.counter("mfserved_flight_records_total", "Requests recorded by the flight recorder (monotonic; the ring retains the most recent).", float64(s.flight.Total()))
 		routes := []string{routeCacheHit, routePeerHit, routeLocal, routeForwarded, routeFallback}
-		if s.metrics.sessionsOpened.Value() > 0 {
+		if s.metrics.sessionsOpened.Load() > 0 {
 			// Session routes appear only once session traffic exists, so a
 			// sessionless cluster scrape stays byte-stable with earlier
 			// releases.
@@ -221,22 +208,22 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		p.head("mfserved_requests_routed_total", "Answered requests by the route that produced the response.", "counter")
 		for _, route := range routes {
-			p.sample("mfserved_requests_routed_total", `route="`+route+`"`, s.metrics.routeCount(route))
+			p.sample("mfserved_requests_routed_total", `route="`+route+`"`, float64(s.metrics.routes.Value(route)))
 		}
 	}
 
 	// Chip-session families, only once a session has been opened, so the
 	// default single-node scrape stays byte-stable with earlier releases.
-	if s.metrics.sessionsOpened.Value() > 0 {
-		p.counter("mfserved_sessions_opened_total", "Chip sessions opened (including journal-replayed ones).", float64(s.metrics.sessionsOpened.Value()))
-		p.gauge("mfserved_sessions_open", "Chip sessions currently active.", float64(s.metrics.sessionsLive.Value()))
+	if s.metrics.sessionsOpened.Load() > 0 {
+		p.counter("mfserved_sessions_opened_total", "Chip sessions opened (including journal-replayed ones).", float64(s.metrics.sessionsOpened.Load()))
+		p.gauge("mfserved_sessions_open", "Chip sessions currently active.", float64(s.metrics.sessionsLive.Load()))
 		p.head("mfserved_session_repairs_total", "Session fault-report repairs, by outcome.", "counter")
 		for _, oc := range []string{session.OutcomeRepaired, session.OutcomeDegraded, session.OutcomeAbandoned} {
-			p.sample("mfserved_session_repairs_total", `outcome="`+oc+`"`, s.metrics.repairCount(oc))
+			p.sample("mfserved_session_repairs_total", `outcome="`+oc+`"`, float64(s.metrics.sessionRepairs.Value(oc)))
 		}
 		p.head("mfserved_session_repair_latency_seconds", "Fault-report repair latency (ladder plus audit).", "histogram")
 		p.histogram("mfserved_session_repair_latency_seconds", "", s.metrics.histRepair.snapshot())
-		p.gauge("mfserved_session_cells_lost", "Dead routing-plane cells accumulated across all sessions.", float64(s.metrics.sessionCells.Value()))
+		p.gauge("mfserved_session_cells_lost", "Dead routing-plane cells accumulated across all sessions.", float64(s.metrics.sessionCells.Load()))
 	}
 
 	// SLO families, only when objectives are configured (-slo), so the

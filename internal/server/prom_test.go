@@ -87,6 +87,29 @@ func parseProm(t *testing.T, body string) []promMetric {
 	return out
 }
 
+// scrapeProm GETs base's /metrics, checks its structure with parseProm,
+// and returns a lookup from series (`name` or `name{labels}`, labels as
+// rendered) to value that fails the test on an absent series.
+func scrapeProm(t *testing.T, base string) func(series string) float64 {
+	t.Helper()
+	values := map[string]float64{}
+	for _, m := range parseProm(t, getText(t, base, "/metrics")) {
+		series := m.name
+		if m.labels != "" {
+			series += "{" + m.labels + "}"
+		}
+		values[series] = m.value
+	}
+	return func(series string) float64 {
+		t.Helper()
+		v, ok := values[series]
+		if !ok {
+			t.Fatalf("/metrics has no series %s", series)
+		}
+		return v
+	}
+}
+
 // find returns the samples with the given metric name.
 func findProm(ms []promMetric, name string) []promMetric {
 	var out []promMetric
@@ -192,12 +215,17 @@ func TestPrometheusExposition(t *testing.T) {
 			t.Fatalf("stage %s: +Inf bucket %g != count %g (or no observations)", stage, infVal, count)
 		}
 	}
+
+	// /metrics is the only metrics view.
+	if code, _ := getBody(t, ts.URL, "/metrics.json"); code != http.StatusNotFound {
+		t.Fatalf("GET /metrics.json: %d, want 404", code)
+	}
 }
 
-// TestHistogramConcurrent drives observe, String and snapshot from many
+// TestHistogramConcurrent drives observe and snapshot from many
 // goroutines; the -race run of this package is the assertion.
 func TestHistogramConcurrent(t *testing.T) {
-	h := newHistogram()
+	var h histogram
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -211,7 +239,6 @@ func TestHistogramConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				_ = h.String()
 				_ = h.snapshot()
 			}
 		}()
@@ -227,6 +254,37 @@ func TestHistogramConcurrent(t *testing.T) {
 	for i := 1; i < len(snap.cumulative); i++ {
 		if snap.cumulative[i] < snap.cumulative[i-1] {
 			t.Fatalf("cumulative not monotone at %d: %v", i, snap.cumulative)
+		}
+	}
+}
+
+// TestHistogramSubMillisecondBuckets: a warm cache hit (about 0.1 ms)
+// and a 0.3 ms request land in buckets of their own, not all in the
+// 1 ms one, and the bounds render without exponents.
+func TestHistogramSubMillisecondBuckets(t *testing.T) {
+	var h histogram
+	h.observe(50 * time.Microsecond)
+	h.observe(300 * time.Microsecond)
+	snap := h.snapshot()
+	for i, bound := range histBounds {
+		var want int64
+		for _, ms := range []float64{0.05, 0.3} {
+			if ms <= bound {
+				want++
+			}
+		}
+		if snap.cumulative[i] != want {
+			t.Errorf("bucket le=%gms holds %d, want %d", bound, snap.cumulative[i], want)
+		}
+	}
+	if snap.cumulative[len(histBounds)] != 2 || snap.count != 2 {
+		t.Errorf("+Inf bucket %d, count %d, want 2 and 2", snap.cumulative[len(histBounds)], snap.count)
+	}
+	var p promWriter
+	p.histogram("h", "", snap)
+	for _, want := range []string{`h_bucket{le="0.0001"} 1`, `h_bucket{le="0.00025"} 1`, `h_bucket{le="0.0005"} 2`, `h_bucket{le="0.001"} 2`} {
+		if !strings.Contains(p.b.String(), want+"\n") {
+			t.Errorf("exposition lacks %q:\n%s", want, p.b.String())
 		}
 	}
 }

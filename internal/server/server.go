@@ -8,8 +8,8 @@
 //	GET  /v1/jobs/{id}/solution the solio-serialized solution document
 //	POST /v1/jobs/{id}/cancel   cancel a queued or running job
 //	GET  /healthz               liveness
-//	GET  /metrics               Prometheus text-format counters and histograms
-//	GET  /metrics.json          the same state as expvar JSON
+//	GET  /metrics               Prometheus text-format counters and histograms,
+//	                           read from each layer at scrape time (prom.go)
 //
 // Determinism is load-bearing: the synthesis flow is a pure function of
 // (assay, allocation, options, algorithm), so results are stored in a
@@ -122,7 +122,7 @@ type Server struct {
 	mux     *http.ServeMux
 	handler http.Handler // mux wrapped with request-ID logging
 	start   time.Time
-	metrics *metrics
+	metrics metrics
 	log     *slog.Logger
 	agg     *obs.Aggregate // algorithm telemetry folded across all jobs
 	reqSeq  atomic.Uint64  // server-assigned request IDs
@@ -251,7 +251,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.q.SetFault(s.flt)
 	s.cache.SetFault(s.flt)
-	s.metrics = newMetrics(s)
 	s.q.OnTerminal(func(j jobq.Job) {
 		lvl := slog.LevelInfo
 		attrs := []any{
@@ -295,7 +294,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.handleCancel)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /metrics", s.handlePromMetrics)
-	s.mux.HandleFunc("GET /metrics.json", s.handleMetrics)
 	if s.cl != nil {
 		s.mux.HandleFunc("GET /v1/peer/solution/{key}", s.handlePeerGet)
 		s.mux.HandleFunc("PUT /v1/peer/solution/{key}", s.handlePeerPut)
@@ -968,9 +966,4 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"status":   "ok",
 		"uptime_s": time.Since(s.start).Seconds(),
 	})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = io.WriteString(w, s.metrics.vars.String())
 }

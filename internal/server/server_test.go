@@ -135,18 +135,13 @@ func TestCacheServedSolutionIsByteIdentical(t *testing.T) {
 		t.Fatalf("third POST (different seed): status %d, want 202 miss", code)
 	}
 
-	var m map[string]json.RawMessage
-	if code := getJSON(t, ts.URL, "/metrics.json", &m); code != http.StatusOK {
-		t.Fatalf("GET /metrics.json: %d", code)
-	}
-	var hits, misses int64
-	mustNum(t, m, "cache_hits", &hits)
-	mustNum(t, m, "cache_misses", &misses)
+	metric := scrapeProm(t, ts.URL)
+	hits, misses := metric("mfserved_cache_hits_total"), metric("mfserved_cache_misses_total")
 	if hits < 1 {
-		t.Fatalf("metrics report %d cache hits, want >= 1", hits)
+		t.Fatalf("metrics report %v cache hits, want >= 1", hits)
 	}
 	if misses < 2 {
-		t.Fatalf("metrics report %d cache misses, want >= 2", misses)
+		t.Fatalf("metrics report %v cache misses, want >= 2", misses)
 	}
 }
 
@@ -165,17 +160,6 @@ func fetchSolution(t *testing.T, base, id string) []byte {
 		t.Fatalf("reading solution: %v", err)
 	}
 	return data
-}
-
-func mustNum(t *testing.T, m map[string]json.RawMessage, key string, out *int64) {
-	t.Helper()
-	raw, ok := m[key]
-	if !ok {
-		t.Fatalf("/metrics missing %q", key)
-	}
-	if err := json.Unmarshal(raw, out); err != nil {
-		t.Fatalf("/metrics %q = %s: %v", key, raw, err)
-	}
 }
 
 // TestCancelMidAnnealReturnsPromptly is the cancellation acceptance
@@ -267,16 +251,12 @@ func TestQueueFullBackpressure(t *testing.T) {
 		t.Fatal("429 without Retry-After header")
 	}
 
-	var m map[string]json.RawMessage
-	getJSON(t, ts.URL, "/metrics.json", &m)
-	var rejected, depth int64
-	mustNum(t, m, "jobs_rejected", &rejected)
-	mustNum(t, m, "queue_depth", &depth)
-	if rejected != 1 {
-		t.Fatalf("jobs_rejected = %d, want 1", rejected)
+	metric := scrapeProm(t, ts.URL)
+	if rejected := metric("mfserved_jobs_rejected_total"); rejected != 1 {
+		t.Fatalf("jobs_rejected = %v, want 1", rejected)
 	}
-	if depth != 1 {
-		t.Fatalf("queue_depth = %d, want 1", depth)
+	if depth := metric("mfserved_queue_depth"); depth != 1 {
+		t.Fatalf("queue_depth = %v, want 1", depth)
 	}
 
 	// Unblock the cleanup shutdown quickly.

@@ -184,7 +184,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	s.metrics.sessionsLive.Add(1)
 	rec.CloseRoot(routeSession)
 	s.spansTotal.Add(int64(len(rec.Spans())))
-	s.metrics.routed(routeSession)
+	s.metrics.routes.Add(routeSession, 1)
 	d := time.Since(start)
 	s.slo.Observe(d)
 	s.flight.Record(obs.RequestRecord{
@@ -380,7 +380,7 @@ func (s *Server) handleSessionFault(w http.ResponseWriter, r *http.Request) {
 func (s *Server) sealSessionRepair(r *http.Request, rec *obs.SpanRecorder, outcome, errMsg string, start time.Time) {
 	rec.CloseRoot(routeSessionRepair)
 	s.spansTotal.Add(int64(len(rec.Spans())))
-	s.metrics.routed(routeSessionRepair)
+	s.metrics.routes.Add(routeSessionRepair, 1)
 	s.flight.Record(obs.RequestRecord{
 		ID: RequestID(r.Context()), TraceID: rec.TraceID(), Time: time.Now(),
 		DurMs: msf(time.Since(start)), Outcome: outcome, Route: routeSessionRepair,
@@ -455,7 +455,7 @@ func (s *Server) proxySession(w http.ResponseWriter, r *http.Request, sid string
 			"owner", owner, "session", sid, "err", err)
 		return false
 	}
-	s.metrics.routed(routeForwarded)
+	s.metrics.routes.Add(routeForwarded, 1)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(respBody)

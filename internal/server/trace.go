@@ -66,7 +66,7 @@ func (s *Server) seal(rec *obs.SpanRecorder, res *jobResult, route string) {
 	res.route = route
 	res.spans = rec.Spans()
 	s.spansTotal.Add(int64(len(res.spans)))
-	s.metrics.routed(route)
+	s.metrics.routes.Add(route, 1)
 }
 
 // recordServed accounts a request the handler answered in-line (cache
@@ -187,10 +187,6 @@ func (s *Server) DumpFlight(w io.Writer) error {
 		"records": s.flight.Snapshot(0),
 	})
 }
-
-// SLOStats exposes the configured objectives' counters (nil when the
-// SLO layer is off) for the self-benchmarks.
-func (s *Server) SLOStats() []obs.SLOStat { return s.slo.Stats() }
 
 // msf converts a duration to fractional milliseconds.
 func msf(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }

@@ -194,3 +194,53 @@ func TestDegradationsRoundTrip(t *testing.T) {
 		t.Fatalf("degradations changed in round trip: %+v", got.Degradations)
 	}
 }
+
+// benchDoc synthesizes Synthetic4, the largest Table I benchmark, at
+// Imax 60 and encodes it once.
+func benchDoc(b *testing.B) (*core.Solution, []byte) {
+	b.Helper()
+	bm, err := benchdata.ByName("Synthetic4")
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := core.DefaultOptions()
+	o.Place.Imax = 60
+	sol, err := core.Synthesize(bm.Graph, bm.Alloc, o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Encode(&buf, sol); err != nil {
+		b.Fatal(err)
+	}
+	return sol, buf.Bytes()
+}
+
+// BenchmarkSolioEncode is a cache miss's encode of its solution.
+func BenchmarkSolioEncode(b *testing.B) {
+	sol, doc := benchDoc(b)
+	var buf bytes.Buffer
+	b.SetBytes(int64(len(doc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := Encode(&buf, sol); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSolioDecode is the full decode a cache entry's first read
+// and a session open run: parse, rebuild and audit.
+func BenchmarkSolioDecode(b *testing.B) {
+	_, doc := benchDoc(b)
+	b.SetBytes(int64(len(doc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Decode(bytes.NewReader(doc)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
