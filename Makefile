@@ -62,13 +62,15 @@ bench-smoke:
 # Serving and workload-engine benchmarks, same loud-fail guard: the warm
 # single-submit hit, request-to-cache-key resolution, the warm
 # batch-submit path, schedule materialization, the journal's accept and
-# terminal appends, and solution encode and decode must all still exist
-# by name.
-BENCH_LOAD_NAMES := BenchmarkServeCacheHit BenchmarkCacheKey BenchmarkBatchSubmit BenchmarkScheduleBuild BenchmarkJournalAppend BenchmarkSolioEncode BenchmarkSolioDecode
-BENCH_LOAD_REGEX := BenchmarkServeCacheHit|BenchmarkCacheKey|BenchmarkBatchSubmit|BenchmarkScheduleBuild|BenchmarkJournalAppend|BenchmarkSolioEncode|BenchmarkSolioDecode
+# terminal appends, solution encode and decode, Algorithm 1 scheduling,
+# a session repair held at each rung of the ladder, the session
+# fingerprint and the assay's canonical encoding must all still exist by
+# name.
+BENCH_LOAD_NAMES := BenchmarkServeCacheHit BenchmarkCacheKey BenchmarkBatchSubmit BenchmarkScheduleBuild BenchmarkJournalAppend BenchmarkSolioEncode BenchmarkSolioDecode BenchmarkScheduleAlgorithm1 BenchmarkSessionRepair/reroute BenchmarkSessionRepair/reschedule BenchmarkSessionRepair/dilate BenchmarkSessionRepair/sa BenchmarkSessionFingerprint BenchmarkAssayMarshal
+BENCH_LOAD_REGEX := BenchmarkServeCacheHit|BenchmarkCacheKey|BenchmarkBatchSubmit|BenchmarkScheduleBuild|BenchmarkJournalAppend|BenchmarkSolioEncode|BenchmarkSolioDecode|BenchmarkScheduleAlgorithm1|BenchmarkSessionRepair|BenchmarkSessionFingerprint|BenchmarkAssayMarshal
 
 bench-load:
-	@out=$$($(GO) test -run xxx -bench '$(BENCH_LOAD_REGEX)' -benchtime 1x ./internal/server/ ./internal/loadgen/ ./internal/journal/ ./internal/solio/ 2>&1); \
+	@out=$$($(GO) test -run xxx -bench '$(BENCH_LOAD_REGEX)' -benchtime 1x ./internal/server/ ./internal/loadgen/ ./internal/journal/ ./internal/solio/ ./internal/session/ ./internal/schedule/ ./internal/assay/ 2>&1); \
 	status=$$?; echo "$$out"; \
 	if [ $$status -ne 0 ]; then exit $$status; fi; \
 	for b in $(BENCH_LOAD_NAMES); do \

@@ -6,11 +6,13 @@ import (
 	"io"
 
 	"repro/internal/fluid"
+	"repro/internal/jsonw"
 	"repro/internal/unit"
 )
 
 // jsonGraph is the on-disk representation consumed by cmd/mfsyn and
-// produced by cmd/mfgen. Times are strings in the paper's units ("2s",
+// produced by cmd/mfgen, as Decode reads it; WriteJSON writes the same
+// fields in the same order. Times are strings in the paper's units ("2s",
 // "0.2s"); diffusion coefficients are plain numbers in cm²/s.
 type jsonGraph struct {
 	Name       string     `json:"name"`
@@ -31,22 +33,60 @@ type jsonEdge struct {
 	To   string `json:"to"`
 }
 
-// MarshalJSON encodes the graph in the stable on-disk format.
+// MarshalJSON encodes the graph in the stable on-disk format: the
+// indented bytes encoding/json's MarshalIndent(jsonGraph, "", "  ")
+// produced, written without reflection.
 func (g *Graph) MarshalJSON() ([]byte, error) {
-	jg := jsonGraph{Name: g.name}
-	for _, op := range g.ops {
-		jg.Operations = append(jg.Operations, jsonOp{
-			Name:      op.Name,
-			Type:      op.Type.String(),
-			Duration:  op.Duration.String(),
-			Fluid:     op.Output.Name,
-			Diffusion: float64(op.Output.D),
-		})
+	// Sized for the ~150 bytes of an operation and ~60 of a dependency
+	// with short names, so a typical graph is written without regrowing.
+	w := jsonw.NewWriter(make([]byte, 0, 64+160*len(g.ops)+64*len(g.edges)))
+	g.WriteJSON(&w)
+	if err := w.Err(); err != nil {
+		return nil, fmt.Errorf("assay: encoding: %w", err)
 	}
-	for _, e := range g.edges {
-		jg.Deps = append(jg.Deps, jsonEdge{From: g.ops[e.From].Name, To: g.ops[e.To].Name})
+	return w.Bytes(), nil
+}
+
+// WriteJSON writes the graph as the next value of w, in the jsonGraph
+// format that Decode reads. It is the one definition of that encoding:
+// MarshalJSON and the assay section of a solution document both use it.
+func (g *Graph) WriteJSON(w *jsonw.Writer) {
+	w.Object()
+	w.Key("name")
+	w.String(g.name)
+	w.Key("operations")
+	if w.List(len(g.ops)) {
+		for _, op := range g.ops {
+			w.Object()
+			w.Key("name")
+			w.String(op.Name)
+			w.Key("type")
+			w.String(op.Type.String())
+			w.Key("duration")
+			w.String(op.Duration.String())
+			if op.Output.Name != "" {
+				w.Key("fluid")
+				w.String(op.Output.Name)
+			}
+			w.Key("diffusion_cm2_per_s")
+			w.Float(float64(op.Output.D))
+			w.EndObject()
+		}
+		w.EndArray()
 	}
-	return json.MarshalIndent(jg, "", "  ")
+	w.Key("dependencies")
+	if w.List(len(g.edges)) {
+		for _, e := range g.edges {
+			w.Object()
+			w.Key("from")
+			w.String(g.ops[e.From].Name)
+			w.Key("to")
+			w.String(g.ops[e.To].Name)
+			w.EndObject()
+		}
+		w.EndArray()
+	}
+	w.EndObject()
 }
 
 // Decode reads a graph from JSON, resolving dependency endpoints by

@@ -142,3 +142,34 @@ func FuzzDecode(f *testing.F) {
 		}
 	})
 }
+
+// TestMarshalMatchesReference holds MarshalJSON to the reflection-based
+// reference over graphs whose names need escapes and whose diffusions
+// and durations cover both float notations and fractional seconds, with
+// and without dependencies.
+func TestMarshalMatchesReference(t *testing.T) {
+	names := []string{"o", "<mix>", "a&b", "q\"", "\u2028", "\xff", "é", ""}
+	ds := []unit.Diffusion{1e-5, 5e-8, 1.5e-9, 1e-6, 9.99e-7, 0.5, 2e21, 123.456}
+	for n := 1; n <= 8; n++ {
+		b := NewBuilder(names[n%len(names)] + "graph")
+		for i := 0; i < n; i++ {
+			b.AddOp(names[i%len(names)], OpType(i%NumOpTypes), unit.Time(250*(i+1)),
+				fluid.Fluid{Name: names[(i+n)%len(names)], D: ds[(i+n)%len(ds)]})
+			if i > 0 && n%2 == 0 {
+				b.AddDep(OpID(i-1), OpID(i))
+			}
+		}
+		g := b.MustBuild()
+		got, err := g.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := referenceMarshal(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%d ops: MarshalJSON\n%s\nreference\n%s", n, got, want)
+		}
+	}
+}

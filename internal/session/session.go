@@ -332,10 +332,6 @@ func (s *Session) Repair(ctx context.Context, fr FaultReport) (RepairRecord, err
 			tr.Instant(obs.CatPipeline, "session.escalate")
 			continue
 		}
-		fp, err := fingerprint(sol)
-		if err != nil {
-			return RepairRecord{}, err
-		}
 		rec.Rung = rung
 		rec.Outcome = OutcomeRepaired
 		if rung != RungReroute {
@@ -345,6 +341,12 @@ func (s *Session) Repair(ctx context.Context, fr FaultReport) (RepairRecord, err
 				Detail: fmt.Sprintf("repair %d at %v: %d dead cells, %d failed components",
 					rec.Index, fr.At, rec.CellsLost, rec.CompsLost),
 			})
+		}
+		// Print the solution as it is installed, its degradation record
+		// included.
+		fp, err := fingerprint(sol)
+		if err != nil {
+			return RepairRecord{}, err
 		}
 		rec.Makespan = sol.Schedule.Makespan
 		rec.Fingerprint = fp
@@ -548,7 +550,8 @@ func (s *Session) audit(sol *core.Solution, at unit.Time, banned []bool, defects
 // fingerprint is the SHA-256 of the solution's canonical encoding with
 // the wall-clock measurements zeroed — fingerprints cover solution
 // content, and CPU time is the one field that legitimately varies
-// between byte-identical runs.
+// between byte-identical runs. solio.Encode appends the document into a
+// pooled buffer and hands it to the hash in one Write.
 func fingerprint(sol *core.Solution) (string, error) {
 	c := *sol
 	c.CPU = 0

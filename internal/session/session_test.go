@@ -46,7 +46,7 @@ func open(t *testing.T, name string, workers int) *Session {
 
 // suffixCell finds a dead-cell candidate: an interior cell of a route
 // whose transport's consumer has not executed at the cut.
-func suffixCell(t *testing.T, s *Session, at unit.Time) route.Cell {
+func suffixCell(t testing.TB, s *Session, at unit.Time) route.Cell {
 	t.Helper()
 	sol := s.Solution()
 	executed := schedule.Executed(sol.Schedule, at)
@@ -61,6 +61,28 @@ func suffixCell(t *testing.T, s *Session, at unit.Time) route.Cell {
 	}
 	t.Skip("no suffix transport with an interior cell at this cut")
 	return route.Cell{}
+}
+
+// idleSuffixComp picks a component failure the reschedule rung can
+// repair: a component with suffix work that is idle across the cut.
+func idleSuffixComp(t testing.TB, sol *core.Solution, at unit.Time) chip.CompID {
+	t.Helper()
+	for _, bo := range sol.Schedule.Ops {
+		if bo.Start >= at {
+			busy := false
+			for _, other := range sol.Schedule.Ops {
+				if other.Comp == bo.Comp && other.Start < at && other.End > at {
+					busy = true
+					break
+				}
+			}
+			if !busy {
+				return bo.Comp
+			}
+		}
+	}
+	t.Skip("no idle component with suffix work at this cut")
+	return chip.NoComp
 }
 
 func TestSessionCellFaultReroutes(t *testing.T) {
@@ -110,26 +132,7 @@ func TestSessionCompFaultReschedules(t *testing.T) {
 	sol := s.Solution()
 	at := sol.Schedule.Makespan / 2
 
-	// Pick a component with suffix work that is idle across the cut.
-	victim := chip.NoComp
-	for _, bo := range sol.Schedule.Ops {
-		if bo.Start >= at {
-			busy := false
-			for _, other := range sol.Schedule.Ops {
-				if other.Comp == bo.Comp && other.Start < at && other.End > at {
-					busy = true
-					break
-				}
-			}
-			if !busy {
-				victim = bo.Comp
-				break
-			}
-		}
-	}
-	if victim == chip.NoComp {
-		t.Skip("no idle component with suffix work at this cut")
-	}
+	victim := idleSuffixComp(t, sol, at)
 
 	rec, err := s.Repair(context.Background(), FaultReport{At: at, Comps: []chip.CompID{victim}})
 	if err != nil {

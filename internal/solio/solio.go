@@ -10,11 +10,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/assay"
 	"repro/internal/chip"
 	"repro/internal/core"
 	"repro/internal/fluid"
+	"repro/internal/jsonw"
 	"repro/internal/place"
 	"repro/internal/route"
 	"repro/internal/schedule"
@@ -24,6 +26,8 @@ import (
 // FormatVersion identifies the on-disk schema.
 const FormatVersion = 1
 
+// doc is the document as DecodeUnvalidated reads it. Append writes the
+// same fields in the same order without going through these structs.
 type doc struct {
 	Version  int             `json:"version"`
 	Baseline bool            `json:"baseline"`
@@ -135,89 +139,266 @@ type docRoute struct {
 	Path [][2]int `json:"path"`
 }
 
-// Encode writes the solution as indented JSON.
+// Encode writes the solution's canonical document (see Append) in one
+// Write, from a pooled buffer. On error nothing is written.
 func Encode(w io.Writer, sol *core.Solution) error {
-	if sol == nil {
-		return fmt.Errorf("solio: nil solution")
-	}
-	assayJSON, err := sol.Assay.MarshalJSON()
+	bp := encodeBufs.Get().(*[]byte)
+	defer encodeBufs.Put(bp)
+	b, err := Append((*bp)[:0], sol)
 	if err != nil {
 		return err
 	}
-	d := doc{
-		Version:  FormatVersion,
-		Baseline: sol.Baseline,
-		Assay:    assayJSON,
-		Options: docOptions{
-			TCms:    int64(sol.Opts.Schedule.TC),
-			T0:      sol.Opts.Place.T0,
-			Tmin:    sol.Opts.Place.Tmin,
-			Alpha:   sol.Opts.Place.Alpha,
-			Imax:    sol.Opts.Place.Imax,
-			Beta:    sol.Opts.Place.Beta,
-			Gamma:   sol.Opts.Place.Gamma,
-			Seed:    sol.Opts.Place.Seed,
-			Spacing: sol.Opts.Place.Spacing,
-			We:      sol.Opts.Route.We,
-			PitchUm: int64(sol.Opts.Route.Pitch),
-			FastDms: int64(sol.Opts.Schedule.Wash.FastWash),
-			SlowDms: int64(sol.Opts.Schedule.Wash.SlowWash),
-			FastD:   float64(sol.Opts.Schedule.Wash.FastD),
-			SlowD:   float64(sol.Opts.Schedule.Wash.SlowD),
-		},
-		CPUMs: float64(sol.CPU.Microseconds()) / 1000,
-	}
-	for _, c := range sol.Comps {
-		d.Comps = append(d.Comps, docComp{Type: c.Kind.Type.String(), Index: c.Index})
-	}
-	for _, bo := range sol.Schedule.Ops {
-		d.Schedule.Ops = append(d.Schedule.Ops, docOp{
-			Op: int(bo.Op), Comp: int(bo.Comp),
-			StartMs: int64(bo.Start), EndMs: int64(bo.End),
-			InPlace: bo.InPlace, InPlaceParent: int(bo.InPlaceParent),
-		})
-	}
-	for _, tr := range sol.Schedule.Transports {
-		d.Schedule.Transports = append(d.Schedule.Transports, docTransport{
-			ID: tr.ID, Producer: int(tr.Producer), Consumer: int(tr.Consumer),
-			From: int(tr.From), To: int(tr.To),
-			DepartMs: int64(tr.Depart), ArriveMs: int64(tr.Arrive),
-			FromChannel: tr.FromChannel, CacheMs: int64(tr.CacheStart),
-			Fluid: tr.Fluid.Name, D: float64(tr.Fluid.D), WashMs: int64(tr.WashTime),
-		})
-	}
-	for _, ce := range sol.Schedule.Caches {
-		d.Schedule.Caches = append(d.Schedule.Caches, docCache{
-			Producer: int(ce.Producer), From: int(ce.From),
-			StartMs: int64(ce.Start), EndMs: int64(ce.End),
-			Fluid: ce.Fluid.Name, D: float64(ce.Fluid.D),
-		})
-	}
-	for _, ws := range sol.Schedule.Washes {
-		d.Schedule.Washes = append(d.Schedule.Washes, docWash{
-			Comp: int(ws.Comp), Residue: int(ws.Residue),
-			StartMs: int64(ws.Start), EndMs: int64(ws.End),
-		})
-	}
-	d.Schedule.MakespanMs = int64(sol.Schedule.Makespan)
-	d.Place = docPlacement{W: sol.Placement.W, H: sol.Placement.H}
-	for _, r := range sol.Placement.Rects {
-		d.Place.Rects = append(d.Place.Rects, docRect{X: r.X, Y: r.Y, W: r.W, H: r.H})
-	}
-	for _, rt := range sol.Routing.Routes {
-		dr := docRoute{Task: rt.Task.ID}
-		for _, c := range rt.Path {
-			dr.Path = append(dr.Path, [2]int{c.X, c.Y})
-		}
-		d.Routes = append(d.Routes, dr)
-	}
-	for _, dg := range sol.Degradations {
-		d.Degradations = append(d.Degradations, docDegradation{Stage: dg.Stage, Event: dg.Event, Detail: dg.Detail})
-	}
+	*bp = b
+	_, err = w.Write(b)
+	return err
+}
 
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
+// encodeBufs recycles Encode's documents; a Synthetic4 document is
+// ~60 KB, and growing a fresh buffer to that costs twice as much garbage.
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// Append appends the solution's canonical document to dst: the doc
+// structs above as encoding/json's Encoder writes them with
+// SetIndent("", "  "), trailing newline included, byte for byte, but
+// without reflection. Slices built by append are nil until their first
+// element, so an empty section is null, and the omitempty fields are
+// left out at their zero values. A NaN or infinite float is an error,
+// and dst is returned unchanged.
+func Append(dst []byte, sol *core.Solution) ([]byte, error) {
+	if sol == nil {
+		return dst, fmt.Errorf("solio: nil solution")
+	}
+	w := jsonw.NewWriter(dst)
+	w.Object()
+	w.Key("version")
+	w.Int(FormatVersion)
+	w.Key("baseline")
+	w.Bool(sol.Baseline)
+	w.Key("assay")
+	sol.Assay.WriteJSON(&w)
+	writeOptions(&w, sol.Opts)
+	w.Key("components")
+	if w.List(len(sol.Comps)) {
+		for _, c := range sol.Comps {
+			w.Object()
+			w.Key("type")
+			w.String(c.Kind.Type.String())
+			w.Key("index")
+			w.Int(int64(c.Index))
+			w.EndObject()
+		}
+		w.EndArray()
+	}
+	writeSchedule(&w, sol.Schedule)
+	w.Key("placement")
+	w.Object()
+	w.Key("w")
+	w.Int(int64(sol.Placement.W))
+	w.Key("h")
+	w.Int(int64(sol.Placement.H))
+	w.Key("rects")
+	if w.List(len(sol.Placement.Rects)) {
+		for _, r := range sol.Placement.Rects {
+			w.Object()
+			w.Key("x")
+			w.Int(int64(r.X))
+			w.Key("y")
+			w.Int(int64(r.Y))
+			w.Key("w")
+			w.Int(int64(r.W))
+			w.Key("h")
+			w.Int(int64(r.H))
+			w.EndObject()
+		}
+		w.EndArray()
+	}
+	w.EndObject()
+	w.Key("routes")
+	if w.List(len(sol.Routing.Routes)) {
+		for _, rt := range sol.Routing.Routes {
+			w.Object()
+			w.Key("task")
+			w.Int(int64(rt.Task.ID))
+			w.Key("path")
+			if w.List(len(rt.Path)) {
+				for _, c := range rt.Path {
+					w.Array()
+					w.Int(int64(c.X))
+					w.Int(int64(c.Y))
+					w.EndArray()
+				}
+				w.EndArray()
+			}
+			w.EndObject()
+		}
+		w.EndArray()
+	}
+	w.Key("cpu_ms")
+	w.Float(float64(sol.CPU.Microseconds()) / 1000)
+	if len(sol.Degradations) > 0 {
+		w.Key("degradations")
+		w.Array()
+		for _, dg := range sol.Degradations {
+			w.Object()
+			w.Key("stage")
+			w.String(dg.Stage)
+			w.Key("event")
+			w.String(dg.Event)
+			if dg.Detail != "" {
+				w.Key("detail")
+				w.String(dg.Detail)
+			}
+			w.EndObject()
+		}
+		w.EndArray()
+	}
+	w.EndObject()
+	if err := w.Err(); err != nil {
+		return dst, fmt.Errorf("solio: %w", err)
+	}
+	return append(w.Bytes(), '\n'), nil
+}
+
+// writeOptions writes the options member, docOptions' fields in order.
+func writeOptions(w *jsonw.Writer, o core.Options) {
+	w.Key("options")
+	w.Object()
+	w.Key("tc_ms")
+	w.Int(int64(o.Schedule.TC))
+	w.Key("t0")
+	w.Float(o.Place.T0)
+	w.Key("tmin")
+	w.Float(o.Place.Tmin)
+	w.Key("alpha")
+	w.Float(o.Place.Alpha)
+	w.Key("imax")
+	w.Int(int64(o.Place.Imax))
+	w.Key("beta")
+	w.Float(o.Place.Beta)
+	w.Key("gamma")
+	w.Float(o.Place.Gamma)
+	w.Key("seed")
+	w.Uint(o.Place.Seed)
+	w.Key("spacing")
+	w.Int(int64(o.Place.Spacing))
+	w.Key("we")
+	w.Float(o.Route.We)
+	w.Key("pitch_um")
+	w.Int(int64(o.Route.Pitch))
+	w.Key("wash_fast_ms")
+	w.Int(int64(o.Schedule.Wash.FastWash))
+	w.Key("wash_slow_ms")
+	w.Int(int64(o.Schedule.Wash.SlowWash))
+	w.Key("wash_fast_d")
+	w.Float(float64(o.Schedule.Wash.FastD))
+	w.Key("wash_slow_d")
+	w.Float(float64(o.Schedule.Wash.SlowD))
+	w.EndObject()
+}
+
+// writeSchedule writes the schedule member, docSchedule's fields in order.
+func writeSchedule(w *jsonw.Writer, sched *schedule.Result) {
+	w.Key("schedule")
+	w.Object()
+	w.Key("operations")
+	if w.List(len(sched.Ops)) {
+		for _, bo := range sched.Ops {
+			w.Object()
+			w.Key("op")
+			w.Int(int64(bo.Op))
+			w.Key("comp")
+			w.Int(int64(bo.Comp))
+			w.Key("start_ms")
+			w.Int(int64(bo.Start))
+			w.Key("end_ms")
+			w.Int(int64(bo.End))
+			if bo.InPlace {
+				w.Key("in_place")
+				w.Bool(true)
+			}
+			if bo.InPlaceParent != 0 {
+				w.Key("in_place_parent")
+				w.Int(int64(bo.InPlaceParent))
+			}
+			w.EndObject()
+		}
+		w.EndArray()
+	}
+	w.Key("transports")
+	if w.List(len(sched.Transports)) {
+		for _, tr := range sched.Transports {
+			w.Object()
+			w.Key("id")
+			w.Int(int64(tr.ID))
+			w.Key("producer")
+			w.Int(int64(tr.Producer))
+			w.Key("consumer")
+			w.Int(int64(tr.Consumer))
+			w.Key("from")
+			w.Int(int64(tr.From))
+			w.Key("to")
+			w.Int(int64(tr.To))
+			w.Key("depart_ms")
+			w.Int(int64(tr.Depart))
+			w.Key("arrive_ms")
+			w.Int(int64(tr.Arrive))
+			if tr.FromChannel {
+				w.Key("from_channel")
+				w.Bool(true)
+			}
+			if tr.CacheStart != 0 {
+				w.Key("cache_start_ms")
+				w.Int(int64(tr.CacheStart))
+			}
+			w.Key("fluid")
+			w.String(tr.Fluid.Name)
+			w.Key("diffusion")
+			w.Float(float64(tr.Fluid.D))
+			w.Key("wash_ms")
+			w.Int(int64(tr.WashTime))
+			w.EndObject()
+		}
+		w.EndArray()
+	}
+	w.Key("caches")
+	if w.List(len(sched.Caches)) {
+		for _, ce := range sched.Caches {
+			w.Object()
+			w.Key("producer")
+			w.Int(int64(ce.Producer))
+			w.Key("from")
+			w.Int(int64(ce.From))
+			w.Key("start_ms")
+			w.Int(int64(ce.Start))
+			w.Key("end_ms")
+			w.Int(int64(ce.End))
+			w.Key("fluid")
+			w.String(ce.Fluid.Name)
+			w.Key("diffusion")
+			w.Float(float64(ce.Fluid.D))
+			w.EndObject()
+		}
+		w.EndArray()
+	}
+	w.Key("washes")
+	if w.List(len(sched.Washes)) {
+		for _, ws := range sched.Washes {
+			w.Object()
+			w.Key("comp")
+			w.Int(int64(ws.Comp))
+			w.Key("residue")
+			w.Int(int64(ws.Residue))
+			w.Key("start_ms")
+			w.Int(int64(ws.Start))
+			w.Key("end_ms")
+			w.Int(int64(ws.End))
+			w.EndObject()
+		}
+		w.EndArray()
+	}
+	w.Key("makespan_ms")
+	w.Int(int64(sched.Makespan))
+	w.EndObject()
 }
 
 // Decode reconstructs a solution from its JSON form and re-validates it.
