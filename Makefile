@@ -28,11 +28,12 @@ race:
 	$(GO) test -race ./...
 
 # Extra race pass over the packages with real concurrency (worker pools,
-# HTTP handlers, metric registries); -count=2 reorders goroutine
+# HTTP handlers, metric registries, the cache entry's one shared decode
+# and the sessions that pin it); -count=2 reorders goroutine
 # interleavings cheaply. CI and `make check` both run exactly this
 # target, so the package list lives in one place.
 race-hot:
-	$(GO) test -race -count=2 ./internal/obs/ ./internal/server/ ./internal/jobq/
+	$(GO) test -race -count=2 ./internal/obs/ ./internal/server/ ./internal/jobq/ ./internal/solcache/ ./internal/session/
 
 # The full pre-merge gate: compile, vet (this module and svcbench),
 # race-enabled tests, the hot concurrency packages twice, and smoke runs
@@ -64,13 +65,14 @@ bench-smoke:
 # batch-submit path, schedule materialization, the journal's accept and
 # terminal appends, solution encode and decode, Algorithm 1 scheduling,
 # a session repair held at each rung of the ladder, the session
-# fingerprint and the assay's canonical encoding must all still exist by
-# name.
-BENCH_LOAD_NAMES := BenchmarkServeCacheHit BenchmarkCacheKey BenchmarkBatchSubmit BenchmarkScheduleBuild BenchmarkJournalAppend BenchmarkSolioEncode BenchmarkSolioDecode BenchmarkScheduleAlgorithm1 BenchmarkSessionRepair/reroute BenchmarkSessionRepair/reschedule BenchmarkSessionRepair/dilate BenchmarkSessionRepair/sa BenchmarkSessionFingerprint BenchmarkAssayMarshal
-BENCH_LOAD_REGEX := BenchmarkServeCacheHit|BenchmarkCacheKey|BenchmarkBatchSubmit|BenchmarkScheduleBuild|BenchmarkJournalAppend|BenchmarkSolioEncode|BenchmarkSolioDecode|BenchmarkScheduleAlgorithm1|BenchmarkSessionRepair|BenchmarkSessionFingerprint|BenchmarkAssayMarshal
+# fingerprint, the assay's canonical encoding, a session open on a
+# checked entry and the audit of a reroute candidate must all still
+# exist by name.
+BENCH_LOAD_NAMES := BenchmarkServeCacheHit BenchmarkCacheKey BenchmarkBatchSubmit BenchmarkScheduleBuild BenchmarkJournalAppend BenchmarkSolioEncode BenchmarkSolioDecode BenchmarkScheduleAlgorithm1 BenchmarkSessionRepair/reroute BenchmarkSessionRepair/reschedule BenchmarkSessionRepair/dilate BenchmarkSessionRepair/sa BenchmarkSessionFingerprint BenchmarkAssayMarshal BenchmarkSessionOpen BenchmarkAuditRepair
+BENCH_LOAD_REGEX := BenchmarkServeCacheHit|BenchmarkCacheKey|BenchmarkBatchSubmit|BenchmarkScheduleBuild|BenchmarkJournalAppend|BenchmarkSolioEncode|BenchmarkSolioDecode|BenchmarkScheduleAlgorithm1|BenchmarkSessionRepair|BenchmarkSessionFingerprint|BenchmarkAssayMarshal|BenchmarkSessionOpen|BenchmarkAuditRepair
 
 bench-load:
-	@out=$$($(GO) test -run xxx -bench '$(BENCH_LOAD_REGEX)' -benchtime 1x ./internal/server/ ./internal/loadgen/ ./internal/journal/ ./internal/solio/ ./internal/session/ ./internal/schedule/ ./internal/assay/ 2>&1); \
+	@out=$$($(GO) test -run xxx -bench '$(BENCH_LOAD_REGEX)' -benchtime 1x ./internal/server/ ./internal/loadgen/ ./internal/journal/ ./internal/solio/ ./internal/session/ ./internal/schedule/ ./internal/assay/ ./internal/verify/ 2>&1); \
 	status=$$?; echo "$$out"; \
 	if [ $$status -ne 0 ]; then exit $$status; fi; \
 	for b in $(BENCH_LOAD_NAMES); do \

@@ -51,6 +51,7 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 // format that Decode reads. It is the one definition of that encoding:
 // MarshalJSON and the assay section of a solution document both use it.
 func (g *Graph) WriteJSON(w *jsonw.Writer) {
+	var dur [24]byte // holds any unit.Time's text (at most 22 bytes)
 	w.Object()
 	w.Key("name")
 	w.String(g.name)
@@ -63,7 +64,7 @@ func (g *Graph) WriteJSON(w *jsonw.Writer) {
 			w.Key("type")
 			w.String(op.Type.String())
 			w.Key("duration")
-			w.String(op.Duration.String())
+			w.StringBytes(op.Duration.Append(dur[:0]))
 			if op.Output.Name != "" {
 				w.Key("fluid")
 				w.String(op.Output.Name)

@@ -97,6 +97,14 @@ func (w *Writer) String(s string) {
 	w.buf = appendString(w.buf, s)
 }
 
+// StringBytes writes the text in b as String writes a string, for a
+// caller that appended the text into a buffer of its own instead of
+// building a string.
+func (w *Writer) StringBytes(b []byte) {
+	w.value()
+	w.buf = appendString(w.buf, b)
+}
+
 // Float writes a float64 as encoding/json does: like ES6's number to
 // string conversion, with 'e' notation only below 1e-6 or from 1e21 in
 // magnitude and the exponent unpadded ("1e-7", not "1e-07").
@@ -183,10 +191,10 @@ const sepIndent = ",\n                                "
 // appendString appends s quoted. A string of printable ASCII that needs
 // no escape is copied as is; any other is escaped by encoding/json
 // itself, so the escaping stays the standard library's.
-func appendString(dst []byte, s string) []byte {
+func appendString[S string | []byte](dst []byte, s S) []byte {
 	for i := 0; i < len(s); i++ {
 		if !plain[s[i]] {
-			b, _ := json.Marshal(s) // a string always marshals
+			b, _ := json.Marshal(string(s)) // a string always marshals
 			return append(dst, b...)
 		}
 	}

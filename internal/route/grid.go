@@ -84,6 +84,7 @@ type Grid struct {
 	// contend for a single cell
 	sc      scratch   // reusable A*/BFS state; see astar.go
 	hfields [][]int32 // cached heuristic fields per destination component
+	sorted  []slot    // finishMetrics' copy of one cell's slots, reused
 }
 
 // gridPool recycles Grid shells between routings. A NewGrid/release pair
@@ -143,19 +144,28 @@ func NewGrid(comps []chip.Component, pl *place.Placement, pr Params) (*Grid, err
 			}
 		}
 	}
+	// Flow ports: every free cell on the boundary ring plus the ring one
+	// cell further out (short port stubs). The second ring both
+	// multiplies port capacity and prevents a single line of busy cells
+	// from sealing a component in. Around a footprint of positive size
+	// (the placement validator rejects any other) the inner ring lies at
+	// distance one and the outer at distance two, and neither visits a
+	// cell twice, so a ring holds no duplicates. All rings share one
+	// backing array sized by the footprints' perimeters.
+	perim := 0
+	for _, r := range pl.Rects {
+		perim += max(0, 4*(r.W+r.H)+8)
+	}
+	cells := make([]Cell, 0, perim)
 	for c, r := range pl.Rects {
-		// Flow ports: every free cell on the boundary ring plus the ring
-		// one cell further out (short port stubs). The second ring both
-		// multiplies port capacity and prevents a single line of busy
-		// cells from sealing a component in.
-		ring := g.freeRing(r)
-		outer := g.freeRing(place.Rect{X: r.X - 1, Y: r.Y - 1, W: r.W + 2, H: r.H + 2})
-		ring = append(ring, outer...)
-		if len(ring) == 0 {
+		from := len(cells)
+		cells = g.appendFreeRing(cells, r)
+		cells = g.appendFreeRing(cells, place.Rect{X: r.X - 1, Y: r.Y - 1, W: r.W + 2, H: r.H + 2})
+		if len(cells) == from {
 			g.release()
 			return nil, fmt.Errorf("route: component %d at %+v has no free port cell", c, r)
 		}
-		g.rings[c] = dedupeCells(ring)
+		g.rings[c] = cells[from:len(cells):len(cells)]
 		g.ports[c] = g.rings[c][0]
 	}
 	return g, nil
@@ -212,19 +222,6 @@ func (g *Grid) InjectDefects(p *fault.Plan) int {
 	return n
 }
 
-// dedupeCells removes duplicates while preserving order.
-func dedupeCells(cs []Cell) []Cell {
-	seen := make(map[Cell]bool, len(cs))
-	out := cs[:0]
-	for _, c := range cs {
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 func (g *Grid) idx(x, y int) int { return y*g.W + x }
 
 // In reports whether the cell lies on the plane.
@@ -239,30 +236,32 @@ func (g *Grid) Weight(c Cell) float64 { return g.weight[g.idx(c.X, c.Y)] }
 // Port returns the port cell assigned to the component.
 func (g *Grid) Port(c chip.CompID) Cell { return g.ports[c] }
 
-// freeRing returns the free in-bounds cells on the boundary ring of the
-// rectangle, scanning the top edge, then right, bottom and left —
-// deterministic and always outside the footprint.
-func (g *Grid) freeRing(r place.Rect) []Cell {
-	var ring []Cell
+// appendFreeRing appends the free in-bounds cells on the boundary ring
+// of the rectangle, scanning the top edge, then right, bottom and left —
+// deterministic, corners excluded and always outside the footprint.
+func (g *Grid) appendFreeRing(dst []Cell, r place.Rect) []Cell {
+	free := func(x, y int) bool { c := Cell{x, y}; return g.In(c) && !g.Blocked(c) }
 	for x := r.X; x < r.X+r.W; x++ {
-		ring = append(ring, Cell{x, r.Y - 1})
-	}
-	for y := r.Y; y < r.Y+r.H; y++ {
-		ring = append(ring, Cell{r.X + r.W, y})
-	}
-	for x := r.X; x < r.X+r.W; x++ {
-		ring = append(ring, Cell{x, r.Y + r.H})
-	}
-	for y := r.Y; y < r.Y+r.H; y++ {
-		ring = append(ring, Cell{r.X - 1, y})
-	}
-	var free []Cell
-	for _, c := range ring {
-		if g.In(c) && !g.Blocked(c) {
-			free = append(free, c)
+		if free(x, r.Y-1) {
+			dst = append(dst, Cell{x, r.Y - 1})
 		}
 	}
-	return free
+	for y := r.Y; y < r.Y+r.H; y++ {
+		if free(r.X+r.W, y) {
+			dst = append(dst, Cell{r.X + r.W, y})
+		}
+	}
+	for x := r.X; x < r.X+r.W; x++ {
+		if free(x, r.Y+r.H) {
+			dst = append(dst, Cell{x, r.Y + r.H})
+		}
+	}
+	for y := r.Y; y < r.Y+r.H; y++ {
+		if free(r.X-1, y) {
+			dst = append(dst, Cell{r.X - 1, y})
+		}
+	}
+	return dst
 }
 
 // Ring returns the usable port cells of the component: every free cell on

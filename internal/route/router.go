@@ -1,8 +1,10 @@
 package route
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -509,18 +511,42 @@ func sameIntSet(a, b map[int]bool) bool {
 }
 
 func finishMetrics(res *Result, g *Grid) {
-	cells := map[Cell]bool{}
+	// Union cells are counted with the scratch's generation stamps. Only
+	// an unvalidated document's paths (RecomputeMetrics) can hold a cell
+	// off the plane, which has no stamp; those are counted by value.
+	sc := &g.sc
+	sc.gen++
+	var off map[Cell]bool
+	union := 0
 	for _, rt := range res.Routes {
 		for _, c := range rt.Path {
-			cells[c] = true
+			if !g.In(c) {
+				if off == nil {
+					off = map[Cell]bool{}
+				}
+				off[c] = true
+				continue
+			}
+			if i := g.idx(c.X, c.Y); sc.mark[i] != sc.gen {
+				sc.mark[i] = sc.gen
+				union++
+			}
 		}
 	}
-	res.UnionCells = len(cells)
+	res.UnionCells = union + len(off)
 
+	// Each cell's slots are read in start order. A cell with two or more
+	// is sorted in a reused copy, with pdqsort — the algorithm behind
+	// sort.Slice too, so ties between equal starts keep the order the
+	// wash sum was defined with.
 	var wash unit.Time
 	for i := range g.slots {
-		ss := append([]slot(nil), g.slots[i]...)
-		sort.Slice(ss, func(a, b int) bool { return ss[a].iv.Start < ss[b].iv.Start })
+		ss := g.slots[i]
+		if len(ss) > 1 {
+			g.sorted = append(g.sorted[:0], ss...)
+			ss = g.sorted
+			slices.SortFunc(ss, func(a, b slot) int { return cmp.Compare(a.iv.Start, b.iv.Start) })
+		}
 		for k := 0; k < len(ss); k++ {
 			if k+1 < len(ss) && ss[k+1].fluid == ss[k].fluid {
 				continue // same sample follows: one wash covers both

@@ -204,14 +204,18 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 // through its canonical solio document — cache-served and freshly
 // synthesized sessions start from byte-identical state — and carries the
 // request's fully resolved options (the document's option record is
-// lossy on fields that don't affect solution bytes).
+// lossy on fields that don't affect solution bytes). The decoded
+// solution is the cache entry's, shared with every other session on it,
+// so the options go into a shallow copy: a session never writes the
+// solution it pins, and its repairs build new ones.
 func (s *Server) openSession(ctx context.Context, sid string, req *request, rec *obs.SpanRecorder) (*sessionEntry, bool, error) {
-	sol, cached, err := s.sessionSolution(ctx, req, rec)
+	shared, cached, err := s.sessionSolution(ctx, req, rec)
 	if err != nil {
 		return nil, false, err
 	}
+	sol := *shared
 	sol.Opts = req.opts
-	sess, err := session.New(sid, sol, req.alloc)
+	sess, err := session.New(sid, &sol, req.alloc)
 	if err != nil {
 		return nil, cached, err
 	}
@@ -227,9 +231,9 @@ func (s *Server) sessionSolution(ctx context.Context, req *request, rec *obs.Spa
 	probeStart := time.Now()
 	if e := s.cached(req.key); e != nil {
 		rec.Add("cache.probe", "", probeStart, time.Since(probeStart), "hit")
-		// The session needs a solution of its own to repair: on an
-		// unchecked entry this decode is the entry's check, on a checked
-		// one it skips the validators.
+		// The entry's shared, read-only solution: its first read
+		// decodes it (on an unchecked entry that decode is the check),
+		// every later open reuses it.
 		if sol, err := e.Solution(); err == nil {
 			return sol, true, nil
 		}

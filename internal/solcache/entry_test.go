@@ -109,9 +109,10 @@ func TestEntryCheck(t *testing.T) {
 	}
 }
 
-// TestSolutionIsTheCheck: on an unchecked entry the session path's decode
-// is the check itself; afterwards Check costs nothing, and every call
-// hands out a fresh solution the caller may modify.
+// TestSolutionIsTheCheck: on an unchecked entry the first Solution's
+// decode is the check itself; afterwards Check and Solution cost nothing,
+// and every call hands out the one decoded solution, which matches the
+// stored metrics. A wrong entry still fails.
 func TestSolutionIsTheCheck(t *testing.T) {
 	doc, sol := pcrDoc(t)
 	e := NewEntry(doc, sol.Metrics(), sol.Degradations)
@@ -122,21 +123,28 @@ func TestSolutionIsTheCheck(t *testing.T) {
 	if n := testing.AllocsPerRun(10, func() { _ = e.Check() }); n != 0 {
 		t.Fatalf("Solution did not record the check: Check allocates %.0f times", n)
 	}
+	if n := testing.AllocsPerRun(10, func() { _, _ = e.Solution() }); n != 0 {
+		t.Fatalf("a decoded entry's Solution allocates %.0f times", n)
+	}
 	b, err := e.Solution()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a == b || a.Schedule == b.Schedule {
-		t.Fatal("two reads share one decoded solution")
+	if a != b {
+		t.Fatal("two reads decoded the document twice")
 	}
-	if a.Metrics() != b.Metrics() || a.Metrics() != e.Metrics {
-		t.Fatalf("decoded metrics %+v / %+v, stored %+v", a.Metrics(), b.Metrics(), e.Metrics)
+	if a.Metrics() != e.Metrics {
+		t.Fatalf("decoded metrics %+v, stored %+v", a.Metrics(), e.Metrics)
 	}
 
 	wrong := sol.Metrics()
 	wrong.ChannelLength++
-	if _, err := NewEntry(doc, wrong, sol.Degradations).Solution(); err == nil {
-		t.Fatal("Solution on an unchecked entry skipped the check")
+	bad := NewEntry(doc, wrong, sol.Degradations)
+	if s, err := bad.Solution(); err == nil || s != nil {
+		t.Fatalf("Solution on a wrong unchecked entry = %v, %v; want its check to fail", s, err)
+	}
+	if err := bad.Check(); err == nil {
+		t.Fatal("Check after a failed Solution passed")
 	}
 }
 
@@ -157,9 +165,114 @@ func TestDecodeEntryStartsChecked(t *testing.T) {
 	}
 }
 
+// TestSolutionAfterCheckDecodesOnce: an entry checked first (the
+// serve-warm path) decodes its solution on the first Solution call, with
+// the validators skipped, and never again.
+func TestSolutionAfterCheckDecodesOnce(t *testing.T) {
+	doc, sol := pcrDoc(t)
+	e := NewEntry(doc, sol.Metrics(), sol.Degradations)
+	if err := e.Check(); err != nil {
+		t.Fatal(err)
+	}
+	a, err := e.Solution()
+	if err != nil || a == nil {
+		t.Fatalf("Solution after Check = %v, %v", a, err)
+	}
+	if a.Metrics() != e.Metrics {
+		t.Fatalf("decoded metrics %+v, stored %+v", a.Metrics(), e.Metrics)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		if b, _ := e.Solution(); b != a {
+			t.Fatal("second Solution decoded again")
+		}
+	}); n != 0 {
+		t.Fatalf("Solution after the first allocates %.0f times", n)
+	}
+}
+
+// TestDecodedSolutionIsCharged: the cache charges a decoded solution as
+// its document's size again, exactly once however many reads share it,
+// never holds more than MaxBytes, and gives the charge back when the
+// entry leaves. Entries decoded before they are put are charged in full
+// at the put.
+func TestDecodedSolutionIsCharged(t *testing.T) {
+	doc, sol := pcrDoc(t)
+	n := int64(len(doc))
+	entry := func() *Entry { return NewEntry(doc, sol.Metrics(), sol.Degradations) }
+	c := New(4 * n)
+	b := entry()
+	c.PutEntry("a", entry())
+	c.PutEntry("b", b)
+	if s := c.Stats(); s.Bytes != 2*n {
+		t.Fatalf("two undecoded entries charge %d bytes, want %d", s.Bytes, 2*n)
+	}
+	a, _ := c.GetEntry("a")
+	if err := a.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Stats(); s.Bytes != 2*n {
+		t.Fatalf("a check, which keeps nothing, charged: %d bytes, want %d", s.Bytes, 2*n)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := a.Solution(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := c.Stats(); s.Bytes != 3*n || s.Entries != 2 {
+		t.Fatalf("after decoding a: %+v, want %d bytes in 2 entries", s, 3*n)
+	}
+
+	// A decoded entry put later arrives charged in full: 5n evicts the
+	// least recently used entry, b, and gives its n back.
+	d := entry()
+	if _, err := d.Solution(); err != nil {
+		t.Fatal(err)
+	}
+	c.PutEntry("d", d)
+	if s := c.Stats(); s.Bytes != 4*n || s.Entries != 2 {
+		t.Fatalf("after putting decoded d: %+v, want %d bytes in 2 entries", s, 4*n)
+	}
+	if e, _ := c.GetEntry("b"); e != nil {
+		t.Fatal("b survived an eviction the charge required")
+	}
+	// An entry decoded after its eviction charges nothing.
+	if _, err := b.Solution(); err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Stats(); s.Bytes != 4*n {
+		t.Fatalf("decoding the evicted b charged: %+v", s)
+	}
+
+	// Putting e evicts a (5n > 4n); decoding e fills the bound exactly.
+	c.PutEntry("e", entry())
+	e, _ := c.GetEntry("e")
+	if _, err := e.Solution(); err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Stats(); s.Bytes != 4*n || s.Entries != 2 {
+		t.Fatalf("after decoding e: %+v, want %d bytes in 2 entries", s, 4*n)
+	}
+
+	// One more decoded entry cannot fit beside them: the eviction gives
+	// back each evicted entry's whole charge and stays within the bound.
+	f := entry()
+	if _, err := f.Solution(); err != nil {
+		t.Fatal(err)
+	}
+	c.PutEntry("f", f)
+	if s := c.Stats(); s.Bytes != 4*n || s.Entries != 2 || s.Bytes > s.MaxBytes {
+		t.Fatalf("after putting decoded f: %+v, want %d bytes in 2 entries", s, 4*n)
+	}
+	c.Put("big", make([]byte, 4*n))
+	if s := c.Stats(); s.Bytes != 4*n || s.Entries != 1 {
+		t.Fatalf("after the evicting put: %+v, want only big's %d bytes", s, 4*n)
+	}
+}
+
 // TestEntryConcurrentFirstRead: many goroutines read one unchecked entry
 // at once, through the cache and directly. Exactly one check runs, every
-// reader sees its outcome, and each Solution is the reader's own.
+// reader sees its outcome, all Solution readers share one decoded
+// solution, and the cache charges it once.
 func TestEntryConcurrentFirstRead(t *testing.T) {
 	doc, sol := pcrDoc(t)
 	c := New(1 << 20)
@@ -190,11 +303,12 @@ func TestEntryConcurrentFirstRead(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	for g := 1; g < len(sols); g += 2 {
-		for h := g + 2; h < len(sols); h += 2 {
-			if sols[g] != nil && sols[g] == sols[h] {
-				t.Fatalf("goroutines %d and %d share one decoded solution", g, h)
-			}
+	for g := 3; g < len(sols); g += 2 {
+		if sols[g] == nil || sols[g] != sols[1] {
+			t.Fatalf("goroutines 1 and %d read different solutions", g)
 		}
+	}
+	if s := c.Stats(); s.Bytes != 2*int64(len(doc)) {
+		t.Fatalf("cache charges %d bytes for one decoded entry, want %d", s.Bytes, 2*len(doc))
 	}
 }

@@ -53,27 +53,29 @@ func (t Time) Sec() float64 { return float64(t) / 1000 }
 // String formats the time as seconds with millisecond precision, trimming
 // trailing zeros: 2 s prints as "2s", 200 ms as "0.2s".
 func (t Time) String() string {
+	var b [24]byte // the longest text, math.MinInt64's, is 22 bytes
+	return string(t.Append(b[:0]))
+}
+
+// Append appends the text String returns to dst.
+func (t Time) Append(dst []byte) []byte {
 	if t == math.MinInt64 {
 		// -t would overflow; this value is unreachable through the
 		// constructors but Time is an open integer type.
 		t++
 	}
-	neg := t < 0
-	if neg {
+	if t < 0 {
+		dst = append(dst, '-')
 		t = -t
 	}
-	whole := t / Second
-	frac := t % Second
-	var s string
-	if frac == 0 {
-		s = fmt.Sprintf("%d", whole)
-	} else {
-		s = strings.TrimRight(fmt.Sprintf("%d.%03d", whole, frac), "0")
+	dst = strconv.AppendInt(dst, int64(t/Second), 10)
+	if frac := t % Second; frac != 0 {
+		dst = append(dst, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
+		for dst[len(dst)-1] == '0' {
+			dst = dst[:len(dst)-1]
+		}
 	}
-	if neg {
-		s = "-" + s
-	}
-	return s + "s"
+	return append(dst, 's')
 }
 
 // ParseTime parses strings of the form "2s", "0.2s", "1500ms" or a bare

@@ -1,10 +1,12 @@
 package verify
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/interval"
 	"repro/internal/place"
+	"repro/internal/route"
 	"repro/internal/schedule"
 	"repro/internal/unit"
 )
@@ -55,13 +57,21 @@ type cellSlot struct {
 	task  int
 }
 
+// validPath is a routed path that passed the auditor's path checks, with
+// the transport it carries.
+type validPath struct {
+	tr   *schedule.Transport
+	path []route.Cell
+}
+
 // geometry is the auditor's own routing-plane model, rebuilt from the
 // placement alone: blocked component interiors and the port rings (the
-// free boundary cells at distance one and two of each footprint).
+// free boundary cells at distance one and two of each footprint), which
+// onRing decides from the footprint itself.
 type geometry struct {
 	w, h    int
 	blocked []bool
-	rings   []map[[2]int]bool // per component
+	rects   []place.Rect
 }
 
 func (ge *geometry) in(x, y int) bool { return x >= 0 && x < ge.w && y >= 0 && y < ge.h }
@@ -70,7 +80,7 @@ func (ge *geometry) isBlocked(x, y int) bool { return ge.blocked[y*ge.w+x] }
 
 // buildGeometry derives the plane model from the placement.
 func buildGeometry(pl *place.Placement) *geometry {
-	ge := &geometry{w: pl.W, h: pl.H, blocked: make([]bool, pl.W*pl.H), rings: make([]map[[2]int]bool, len(pl.Rects))}
+	ge := &geometry{w: pl.W, h: pl.H, blocked: make([]bool, pl.W*pl.H), rects: pl.Rects}
 	for _, r := range pl.Rects {
 		for y := r.Y; y < r.Y+r.H; y++ {
 			for x := r.X; x < r.X+r.W; x++ {
@@ -80,27 +90,27 @@ func buildGeometry(pl *place.Placement) *geometry {
 			}
 		}
 	}
-	for c, r := range pl.Rects {
-		ring := map[[2]int]bool{}
-		for _, rr := range []place.Rect{r, {X: r.X - 1, Y: r.Y - 1, W: r.W + 2, H: r.H + 2}} {
-			for x := rr.X; x < rr.X+rr.W; x++ {
-				ring[[2]int{x, rr.Y - 1}] = true
-				ring[[2]int{x, rr.Y + rr.H}] = true
-			}
-			for y := rr.Y; y < rr.Y+rr.H; y++ {
-				ring[[2]int{rr.X - 1, y}] = true
-				ring[[2]int{rr.X + rr.W, y}] = true
-			}
-		}
-		free := map[[2]int]bool{}
-		for c2 := range ring {
-			if ge.in(c2[0], c2[1]) && !ge.isBlocked(c2[0], c2[1]) {
-				free[c2] = true
-			}
-		}
-		ge.rings[c] = free
-	}
 	return ge
+}
+
+// onRing reports whether (x, y) is a port cell of component c: a free
+// cell of the plane on the boundary ring of its footprint or of the
+// footprint grown by one cell on every side. A boundary ring is the
+// row above and below the rectangle and the column left and right of
+// it, corners excluded.
+func (ge *geometry) onRing(c int, x, y int) bool {
+	if c < 0 || c >= len(ge.rects) || !ge.in(x, y) || ge.isBlocked(x, y) {
+		return false
+	}
+	r := ge.rects[c]
+	return onBoundary(r, x, y) || onBoundary(place.Rect{X: r.X - 1, Y: r.Y - 1, W: r.W + 2, H: r.H + 2}, x, y)
+}
+
+// onBoundary reports whether (x, y) lies on the boundary ring of r.
+func onBoundary(r place.Rect, x, y int) bool {
+	inX := x >= r.X && x < r.X+r.W
+	inY := y >= r.Y && y < r.Y+r.H
+	return inX && (y == r.Y-1 || y == r.Y+r.H) || inY && (x == r.X-1 || x == r.X+r.W)
 }
 
 // taskWindows returns the movement window of a transport and the extended
@@ -134,10 +144,10 @@ func (a *auditor) checkRouting() {
 	}
 	routed := map[int]bool{}
 
-	// slots holds the re-derived occupancy calendar: cell index → entries,
-	// appended in route order exactly as the router commits them.
-	slots := make(map[int][]cellSlot)
-	union := map[[2]int]bool{}
+	// The paths that pass their checks, in route order, and how many
+	// occupancy entries each cell gets from them (at cell index + 1).
+	var valid []validPath
+	next := make([]int32, ge.w*ge.h+1)
 
 	for _, rt := range res.Routes {
 		tr := trByID[rt.Task.ID]
@@ -155,11 +165,11 @@ func (a *auditor) checkRouting() {
 			continue
 		}
 		first, last := rt.Path[0], rt.Path[len(rt.Path)-1]
-		if !ge.rings[tr.From][[2]int{first.X, first.Y}] {
+		if !ge.onRing(int(tr.From), first.X, first.Y) {
 			rep.add(Routing, "endpoint-src", "task %d starts at (%d,%d), not a port of component %d",
 				tr.ID, first.X, first.Y, tr.From)
 		}
-		if !ge.rings[tr.To][[2]int{last.X, last.Y}] {
+		if !ge.onRing(int(tr.To), last.X, last.Y) {
 			rep.add(Routing, "endpoint-dst", "task %d ends at (%d,%d), not a port of component %d",
 				tr.ID, last.X, last.Y, tr.To)
 		}
@@ -186,15 +196,9 @@ func (a *auditor) checkRouting() {
 		if !pathOK {
 			continue
 		}
-		move, hold := taskWindows(tr)
-		for i, c := range rt.Path {
-			iv := move
-			if i == 0 {
-				iv = hold
-			}
-			idx := c.Y*ge.w + c.X
-			slots[idx] = append(slots[idx], cellSlot{iv: iv, fluid: tr.Fluid.Name, wash: tr.WashTime, task: tr.ID})
-			union[[2]int{c.X, c.Y}] = true
+		valid = append(valid, validPath{tr: tr, path: rt.Path})
+		for _, c := range rt.Path {
+			next[c.Y*ge.w+c.X+1]++
 		}
 	}
 	for id := range trByID {
@@ -203,17 +207,45 @@ func (a *auditor) checkRouting() {
 		}
 	}
 
-	// Eq. 5: no two tasks of different fluids may hold one cell in
-	// intersecting time slots. Aliquots of the same sample share freely.
-	cellIdxs := make([]int, 0, len(slots))
-	for idx := range slots {
-		cellIdxs = append(cellIdxs, idx)
+	// The occupancy calendar: one flat slice holding every cell's
+	// entries, cell after cell in cell-index order and each cell's in
+	// route order, exactly as the router commits them — a counting sort
+	// by cell index. next[idx] starts as the offset of cell idx's entries
+	// and advances past each one placed, ending as the offset of cell
+	// idx+1's.
+	for i := 1; i < len(next); i++ {
+		next[i] += next[i-1]
 	}
-	sort.Ints(cellIdxs)
-	nSlots := 0
-	for _, idx := range cellIdxs {
-		ss := slots[idx]
-		nSlots += len(ss)
+	calendar := make([]cellSlot, next[len(next)-1])
+	for _, vp := range valid {
+		move, hold := taskWindows(vp.tr)
+		for i, c := range vp.path {
+			iv := move
+			if i == 0 {
+				iv = hold
+			}
+			idx := c.Y*ge.w + c.X
+			calendar[next[idx]] = cellSlot{iv: iv, fluid: vp.tr.Fluid.Name, wash: vp.tr.WashTime, task: vp.tr.ID}
+			next[idx]++
+		}
+	}
+
+	// Walk the calendar cell by cell. Eq. 5: no two tasks of different
+	// fluids may hold one cell in intersecting time slots; aliquots of
+	// the same sample share freely. Channel wash time charges one wash
+	// per slot, in start order, except when the next fluid through the
+	// cell is the same sample, whose residue does not contaminate it (the
+	// accounting of Fig. 9).
+	cells := 0
+	var wash unit.Time
+	lo := int32(0)
+	for idx, hi := range next[:len(next)-1] {
+		ss := calendar[lo:hi]
+		lo = hi
+		if len(ss) == 0 {
+			continue
+		}
+		cells++
 		for i := 0; i < len(ss); i++ {
 			for j := i + 1; j < len(ss); j++ {
 				if ss[i].fluid != ss[j].fluid && ss[i].iv.Overlaps(ss[j].iv) {
@@ -223,28 +255,28 @@ func (a *auditor) checkRouting() {
 				}
 			}
 		}
-	}
-	rep.Stats.Cells = len(slots)
-	rep.Stats.Slots = nSlots
-
-	// Re-sum the reported aggregates. Union channel length counts each
-	// distinct cell once (shared segments are fabricated once); channel
-	// wash time charges one wash per slot except when the next fluid
-	// through the cell is the same sample, whose residue does not
-	// contaminate it (the accounting of Fig. 9).
-	if res.UnionCells != len(union) {
-		rep.add(Metric, "union-cells", "reported %d union channel cells, paths cover %d", res.UnionCells, len(union))
-	}
-	var wash unit.Time
-	for _, idx := range cellIdxs {
-		ss := append([]cellSlot(nil), slots[idx]...)
-		sort.Slice(ss, func(x, y int) bool { return ss[x].iv.Start < ss[y].iv.Start })
+		// The cell's entries are not read in route order again, so they
+		// are put in start order where they lie, by pdqsort: the
+		// algorithm of the sort.Slice the accounting was defined with, so
+		// equal starts tie in the same order.
+		if len(ss) > 1 {
+			slices.SortFunc(ss, func(x, y cellSlot) int { return cmp.Compare(x.iv.Start, y.iv.Start) })
+		}
 		for k := 0; k < len(ss); k++ {
 			if k+1 < len(ss) && ss[k+1].fluid == ss[k].fluid {
 				continue
 			}
 			wash += ss[k].wash
 		}
+	}
+	rep.Stats.Cells = cells
+	rep.Stats.Slots = len(calendar)
+
+	// Re-sum the reported aggregates. Union channel length counts each
+	// distinct cell once (shared segments are fabricated once): every
+	// cell of the calendar.
+	if res.UnionCells != cells {
+		rep.add(Metric, "union-cells", "reported %d union channel cells, paths cover %d", res.UnionCells, cells)
 	}
 	if res.ChannelWash != wash {
 		rep.add(Metric, "wash-sum", "reported channel wash time %v, slot calendar re-sums to %v", res.ChannelWash, wash)
