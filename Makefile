@@ -47,11 +47,12 @@ bench:
 # Hot-path benchmarks the smoke run must still find; a renamed or deleted
 # benchmark silently matches nothing with a bare -bench regex, so the run
 # greps its own output for each name and fails loudly instead.
-BENCH_SMOKE_NAMES := BenchmarkSynthesisCPU BenchmarkAnnealEnergy BenchmarkAStarSynthetic4 BenchmarkQuench
-BENCH_SMOKE_REGEX := BenchmarkSynthesisCPU|BenchmarkAnnealEnergy|BenchmarkAStarSynthetic4|BenchmarkQuench
+BENCH_SMOKE_NAMES := BenchmarkSynthesisCPU BenchmarkAnnealEnergy BenchmarkAnnealMix BenchmarkAStarSynthetic4 BenchmarkQuench
+BENCH_SMOKE_REGEX := BenchmarkSynthesisCPU|BenchmarkAnnealEnergy|BenchmarkAnnealMix|BenchmarkAStarSynthetic4|BenchmarkQuench
 
 # Quick sanity pass over the optimized hot paths: one iteration each of
-# the placement, quench, routing and end-to-end synthesis benchmarks.
+# the placement (Synthetic4, and the service's cold-request shapes),
+# quench, routing and end-to-end synthesis benchmarks.
 bench-smoke:
 	@out=$$($(GO) test -run xxx -bench '$(BENCH_SMOKE_REGEX)' -benchtime 1x . ./internal/place/ 2>&1); \
 	status=$$?; echo "$$out"; \

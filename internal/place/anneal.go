@@ -3,7 +3,6 @@ package place
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/chip"
 	"repro/internal/fault"
@@ -17,17 +16,11 @@ import (
 // accepting uphill moves with probability exp(-Δ/T), and cools T
 // geometrically by Alpha until Tmin. It returns the best placement seen.
 //
-// Accept/reject is evaluated incrementally: each move scores only the
-// nets incident to the component(s) it touches (via NetIndex). The full
-// Energy sum is recomputed only for accepted moves and for near-tie moves
-// (|Δ| < tieEps), which keeps the running total and the best-so-far
-// comparison bit-identical to recomputing Energy every move: the
-// incident-net delta and the full-sum delta agree mathematically but
-// differ by summation-order roundoff (~1e-11 here), and on energy-neutral
-// moves that roundoff decides whether the Metropolis draw is consumed at
-// all — so ties must fall back to the full sum to preserve the RNG
-// stream. TestIncrementalDeltaMatchesFull pins the agreement and
-// TestSolutionFingerprints (repo root) pins the resulting trajectories.
+// The moves run on one Metropolis chain (see chain), which scores each
+// move on the nets incident to the components it touches and reproduces
+// the full-recompute trajectory bit for bit.
+// TestAnnealMatchesReference pins the agreement with that trajectory and
+// TestSolutionFingerprints (repo root) pins the resulting placements.
 func Anneal(comps []chip.Component, nets []Net, pr Params) (*Placement, error) {
 	return AnnealContext(context.Background(), comps, nets, pr)
 }
@@ -83,15 +76,19 @@ func annealSteps(ctx context.Context, comps []chip.Component, nets []Net, pr Par
 	if pr.T0 <= pr.Tmin || pr.Tmin <= 0 {
 		return nil, nil, fmt.Errorf("place: invalid temperature range T0=%v Tmin=%v", pr.T0, pr.Tmin)
 	}
+	if err := checkChainRange(comps, w, h, pr.Spacing); err != nil {
+		return nil, nil, err
+	}
 	r := rng.New(pr.Seed)
 	p, err := randomPlacement(comps, w, h, pr.Spacing, r)
 	if err != nil {
 		return nil, nil, err
 	}
 	ix := BuildNetIndex(len(comps), nets)
-	cur := Energy(p, nets)
 	best := p.Clone()
-	bestE := cur
+	var ch chain
+	ch.init(p, ix, pr.Spacing)
+	bestE := ch.cur
 
 	// Telemetry: one sample per temperature step, emitted at the step
 	// boundary (the same place the cancellation poll sits). The hooks
@@ -116,35 +113,9 @@ func annealSteps(ctx context.Context, comps []chip.Component, nets []Net, pr Par
 		if err := flt.Err(fault.PlaceStepFail); err != nil {
 			return nil, nil, fmt.Errorf("place: anneal aborted at T=%.3g: %w", t, err)
 		}
-		var accepted, rejected, infeasible int
-		for i := 0; i < pr.Imax; i++ {
-			m, delta, ok := transform(p, pr.Spacing, r, ix)
-			if !ok {
-				infeasible++
-				continue
-			}
-			next, haveNext := 0.0, false
-			if delta > -tieEps && delta < tieEps {
-				next, haveNext = Energy(p, nets), true
-				delta = next - cur
-			}
-			if delta < 0 || r.Float64() < math.Exp(-delta/t) {
-				if !haveNext {
-					next = Energy(p, nets)
-				}
-				cur = next
-				if cur < bestE {
-					bestE = cur
-					best.CopyFrom(p)
-				}
-				accepted++
-			} else {
-				m.undo(p)
-				rejected++
-			}
-		}
+		accepted, rejected, infeasible := ch.run(pr.Imax, t, r, best, &bestE)
 		tr.AnnealStep(obs.AnnealStep{
-			Seed: pr.Seed, Temp: t, Cur: cur, Best: bestE,
+			Seed: pr.Seed, Temp: t, Cur: ch.cur, Best: bestE,
 			Accepted: accepted, Rejected: rejected, Infeasible: infeasible,
 		})
 	}
@@ -152,82 +123,6 @@ func annealSteps(ctx context.Context, comps []chip.Component, nets []Net, pr Par
 		tr.EndTID(obs.CatPlace, "anneal", tid)
 	}
 	return best, ix, nil
-}
-
-// move records one applied transformation operation: the components it
-// changed and their previous rectangles. A single-component move has
-// j == i and oj == oi, so undo needs no branch. It is a value, not a
-// closure, so recording a move allocates nothing.
-type move struct {
-	i, j   int
-	oi, oj Rect
-}
-
-// undo restores the rectangles the move replaced.
-func (m move) undo(p *Placement) {
-	p.Rects[m.i], p.Rects[m.j] = m.oi, m.oj
-}
-
-// transform applies one random legal transformation operation to p and
-// returns the move (for undo) together with the Eq. 3 energy delta of the
-// move, evaluated over the incident nets only. ok is false when the
-// sampled move was illegal and p is unchanged.
-func transform(p *Placement, spacing int, r *rng.Source, ix *NetIndex) (m move, delta float64, ok bool) {
-	n := len(p.Rects)
-	switch r.Intn(3) {
-	case 0: // translate one component
-		i := r.Intn(n)
-		old := p.Rects[i]
-		cand := old
-		cand.X = spacing + r.Intn(max(1, p.W-2*spacing-cand.W+1))
-		cand.Y = spacing + r.Intn(max(1, p.H-2*spacing-cand.H+1))
-		if !fitsAt(p, i, cand, spacing) {
-			return move{}, 0, false
-		}
-		before := ix.CompEnergy(p, i)
-		p.Rects[i] = cand
-		delta = ix.CompEnergy(p, i) - before
-		return move{i: i, j: i, oi: old, oj: old}, delta, true
-	case 1: // rotate one component 90°
-		i := r.Intn(n)
-		old := p.Rects[i]
-		cand := Rect{X: old.X, Y: old.Y, W: old.H, H: old.W}
-		if !fitsAt(p, i, cand, spacing) {
-			return move{}, 0, false
-		}
-		before := ix.CompEnergy(p, i)
-		p.Rects[i] = cand
-		delta = ix.CompEnergy(p, i) - before
-		return move{i: i, j: i, oi: old, oj: old}, delta, true
-	default: // swap the positions of two components
-		if n < 2 {
-			return move{}, 0, false
-		}
-		i := r.Intn(n)
-		j := r.Intn(n - 1)
-		if j >= i {
-			j++
-		}
-		oi, oj := p.Rects[i], p.Rects[j]
-		ci := Rect{X: oj.X, Y: oj.Y, W: oi.W, H: oi.H}
-		cj := Rect{X: oi.X, Y: oi.Y, W: oj.W, H: oj.H}
-		// Temporarily clear both to test pairwise fits.
-		p.Rects[i] = Rect{}
-		p.Rects[j] = Rect{}
-		okI := fitsAt(p, i, ci, spacing)
-		p.Rects[i] = ci
-		okJ := okI && fitsAt(p, j, cj, spacing)
-		if !okI || !okJ {
-			p.Rects[i] = oi
-			p.Rects[j] = oj
-			return move{}, 0, false
-		}
-		p.Rects[i], p.Rects[j] = oi, oj
-		before := ix.PairEnergy(p, i, j)
-		p.Rects[i], p.Rects[j] = ci, cj
-		delta = ix.PairEnergy(p, i, j) - before
-		return move{i: i, j: j, oi: oi, oj: oj}, delta, true
-	}
 }
 
 // Construct is the baseline construction-by-correction placer the paper

@@ -1,6 +1,7 @@
 package place
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -24,39 +25,81 @@ func randomNets(n int, count int, r *rng.Source) []Net {
 	return nets
 }
 
-// TestIncrementalDeltaMatchesFull is the tentpole invariant: for 1k
-// random accepted moves on random placements, the incremental delta
-// returned by transform equals Energy(after) - Energy(before) within
-// 1e-9.
+// TestIncrementalDeltaMatchesFull is the incremental-energy invariant,
+// driven through the chain: for 1k legal moves on random placements,
+// each proposal matches the seed's transform on a twin RNG stream (the
+// same draws, the same legality verdict, the same incident delta bit for
+// bit), the delta equals Energy(after) − Energy(before) within 1e-9, and
+// the chain's full sum equals Energy(after) bit for bit. A net-less move
+// leaves Energy unchanged bit for bit. Half the moves are committed and
+// half undone, and the bound arrays must describe the placement after
+// each. The "sparse" nets join only the first half of the components.
 func TestIncrementalDeltaMatchesFull(t *testing.T) {
-	bms := []string{"IVD", "CPA", "Synthetic2"}
-	for _, name := range bms {
-		_, comps := scheduled(t, name)
-		r := rng.New(42)
-		nets := randomNets(len(comps), 3*len(comps), r)
-		ix := BuildNetIndex(len(comps), nets)
-		w, h := AutoPlane(comps, 2)
-		p, err := randomPlacement(comps, w, h, 2, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checked := 0
-		for checked < 1000 {
-			before := Energy(p, nets)
-			m, delta, ok := transform(p, 2, r, ix)
-			if !ok {
-				continue
+	for _, name := range []string{"IVD", "CPA", "Synthetic2"} {
+		for _, sparse := range []bool{false, true} {
+			_, comps := scheduled(t, name)
+			r := rng.New(42)
+			n := len(comps)
+			if sparse {
+				n = max(2, n/2)
 			}
-			after := Energy(p, nets)
-			if math.Abs(delta-(after-before)) > 1e-9 {
-				t.Fatalf("%s move %d: incremental delta %v, full delta %v",
-					name, checked, delta, after-before)
+			nets := randomNets(n, 3*n, r)
+			ix := BuildNetIndex(len(comps), nets)
+			w, h := AutoPlane(comps, 2)
+			p, err := randomPlacement(comps, w, h, 2, r)
+			if err != nil {
+				t.Fatal(err)
 			}
-			// Exercise both branches: keep half the moves, undo the rest.
-			if checked%2 == 1 {
-				m.undo(p)
+			ref := p.Clone()
+			var c chain
+			c.init(p, ix, 2)
+			checked, netless := 0, 0
+			for checked < 1000 {
+				before := Energy(c.p, nets)
+				twin := *r
+				m, wantDelta, wantOK := referenceTransform(ref, 2, &twin, ix)
+				delta, isNetless, ok := c.propose(r)
+				if ok != wantOK || *r != twin {
+					t.Fatalf("%s move %d: chain ok=%v, seed ok=%v (or the draws differ)", name, checked, ok, wantOK)
+				}
+				if !ok {
+					continue
+				}
+				after := Energy(ref, nets)
+				if isNetless {
+					netless++
+					if math.Float64bits(after) != math.Float64bits(before) || wantDelta != 0 {
+						t.Fatalf("%s move %d: net-less move changed Energy %v -> %v", name, checked, before, after)
+					}
+				} else {
+					if math.Float64bits(delta) != math.Float64bits(wantDelta) {
+						t.Fatalf("%s move %d: chain delta %v, seed delta %v", name, checked, delta, wantDelta)
+					}
+					if math.Abs(delta-(after-before)) > 1e-9 {
+						t.Fatalf("%s move %d: incremental delta %v, full delta %v", name, checked, delta, after-before)
+					}
+				}
+				if e := c.energy(); math.Float64bits(e) != math.Float64bits(after) {
+					t.Fatalf("%s move %d: chain energy %v, Energy %v", name, checked, e, after)
+				}
+				// Exercise both branches: keep half the moves, undo the rest.
+				if checked%2 == 1 {
+					m.undo(ref)
+					c.undo()
+				} else {
+					c.commit()
+				}
+				checkBounds(t, &c, fmt.Sprintf("%s move %d", name, checked))
+				for k := range ref.Rects {
+					if c.p.Rects[k] != ref.Rects[k] {
+						t.Fatalf("%s move %d: component %d at %+v, seed %+v", name, checked, k, c.p.Rects[k], ref.Rects[k])
+					}
+				}
+				checked++
 			}
-			checked++
+			if sparse && netless == 0 {
+				t.Fatalf("%s: no net-less move among 1000", name)
+			}
 		}
 	}
 }

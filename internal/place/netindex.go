@@ -18,7 +18,24 @@ type NetIndex struct {
 // slice is captured, not copied: it must not be mutated while the index
 // is in use.
 func BuildNetIndex(nComps int, nets []Net) *NetIndex {
+	// Each component's list is a window of one backing array sized by a
+	// counting pass, so the appends below never allocate.
+	deg := make([]int, nComps)
+	total := 0
+	for _, n := range nets {
+		deg[n.A]++
+		total++
+		if n.B != n.A {
+			deg[n.B]++
+			total++
+		}
+	}
+	backing := make([]int32, total)
 	ix := &NetIndex{nets: nets, byComp: make([][]int32, nComps)}
+	for c, d := range deg {
+		ix.byComp[c] = backing[:0:d]
+		backing = backing[d:]
+	}
 	for k, n := range nets {
 		ix.byComp[n.A] = append(ix.byComp[n.A], int32(k))
 		if n.B != n.A {
@@ -48,21 +65,6 @@ func (ix *NetIndex) CompEnergyAt(p *Placement, i int, r Rect) float64 {
 		}
 		ro := p.Rects[o]
 		e += (math.Abs(cx-ro.CenterX()) + math.Abs(cy-ro.CenterY())) * n.CP
-	}
-	return e
-}
-
-// PairEnergy returns the Eq. 3 energy restricted to nets incident to
-// component i or component j, with nets joining the pair counted once —
-// the slice of the sum a swap move can change.
-func (ix *NetIndex) PairEnergy(p *Placement, i, j int) float64 {
-	e := ix.CompEnergy(p, i)
-	for _, k := range ix.byComp[j] {
-		n := &ix.nets[k]
-		if int(n.A) == i || int(n.B) == i {
-			continue // joins the pair: already counted via i
-		}
-		e += p.Dist(n.A, n.B) * n.CP
 	}
 	return e
 }

@@ -1,6 +1,8 @@
 package place
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/benchdata"
@@ -221,6 +223,22 @@ func TestAnnealRejectsBadParams(t *testing.T) {
 	if _, err := Anneal(comps, nil, pr); err == nil {
 		t.Error("T0 <= Tmin not rejected")
 	}
+	// Coordinates a chain's int32 arrays cannot hold.
+	pr = DefaultParams()
+	pr.PlaneW, pr.PlaneH = chainLimit+1, chainLimit+1
+	if _, err := Anneal(comps, nil, pr); err == nil {
+		t.Error("plane beyond chainLimit not rejected")
+	}
+	if _, err := AnnealTempered(comps, nil, pr, 2); err == nil {
+		t.Error("tempering on a plane beyond chainLimit not rejected")
+	}
+	huge := append([]chip.Component(nil), comps...)
+	huge[0].Kind.W = -(chainLimit + 1)
+	pr = DefaultParams()
+	pr.PlaneW, pr.PlaneH = 200, 200
+	if _, err := Anneal(huge, nil, pr); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Errorf("footprint beyond chainLimit: err = %v, want the range check", err)
+	}
 }
 
 func TestConstructLegalAndDeterministic(t *testing.T) {
@@ -265,6 +283,9 @@ func TestAnnealBeatsBaselineOnWeightedEnergy(t *testing.T) {
 	}
 }
 
+// TestTransformPreservesLegality commits every legal move the chain
+// proposes and checks that the placement stays legal and that the bound
+// arrays describe it after every commit.
 func TestTransformPreservesLegality(t *testing.T) {
 	_, comps := scheduled(t, "CPA")
 	w, h := AutoPlane(comps, 1)
@@ -273,16 +294,22 @@ func TestTransformPreservesLegality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := BuildNetIndex(len(comps), nil)
+	var c chain
+	c.init(p, BuildNetIndex(len(comps), randomNets(len(comps), 2*len(comps), r)), 1)
 	for i := 0; i < 2000; i++ {
-		if _, _, ok := transform(p, 1, r, ix); ok {
+		if _, _, ok := c.propose(r); ok {
+			c.commit()
 			if err := p.Legal(1); err != nil {
 				t.Fatalf("move %d broke legality: %v", i, err)
 			}
+			checkBounds(t, &c, fmt.Sprintf("commit %d", i))
 		}
 	}
 }
 
+// TestUndoRestoresPlacement undoes every legal move the chain proposes
+// and checks that the placement, the bound arrays and the centres are
+// as before it.
 func TestUndoRestoresPlacement(t *testing.T) {
 	_, comps := scheduled(t, "IVD")
 	w, h := AutoPlane(comps, 1)
@@ -291,19 +318,20 @@ func TestUndoRestoresPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := BuildNetIndex(len(comps), nil)
+	var c chain
+	c.init(p, BuildNetIndex(len(comps), randomNets(len(comps), 2*len(comps), r)), 1)
 	for i := 0; i < 500; i++ {
 		before := p.Clone()
-		m, _, ok := transform(p, 1, r, ix)
-		if !ok {
+		if _, _, ok := c.propose(r); !ok {
 			continue
 		}
-		m.undo(p)
+		c.undo()
 		for j := range p.Rects {
 			if p.Rects[j] != before.Rects[j] {
 				t.Fatalf("undo failed at move %d comp %d", i, j)
 			}
 		}
+		checkBounds(t, &c, fmt.Sprintf("undo %d", i))
 	}
 }
 

@@ -212,7 +212,15 @@ func (s *quenchScratch) block(p *Placement, i, w, h, spacing, nx, ny int) {
 // The incumbent's full Eq. 3 sum is cached across near ties: Energy is a
 // pure function of the rectangles, so it equals what a fresh call would
 // return.
+//
+// A component without nets returns at once. Moving it changes no term of
+// Eq. 3, so every free candidate ties the incumbent: its incident energy
+// is 0 and its full sum adds the same terms in the same order, and the
+// strict-improvement rule never takes a tie.
 func (s *quenchScratch) visit(p *Placement, nets []Net, ix *NetIndex, i, spacing int) bool {
+	if len(ix.byComp[i]) == 0 {
+		return false
+	}
 	old := p.Rects[i]
 	k, sumAbs := s.neighbours(p, ix, i)
 	thr := tieEps + quenchMargin(k, sumAbs, p.W, p.H) // no x > +Inf: no prune

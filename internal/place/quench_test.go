@@ -13,9 +13,11 @@ import (
 // quenchNetSets are the net families the quench is checked on: random
 // real priorities in [-4.9, 5.1) (library callers may pass negative β or
 // γ, so the bound must use Σ|cp|, not Σcp); small integer priorities, whose
-// energies tie exactly and so exercise the full-sum tie-break; and
-// BuildNets on the benchmark's real schedule.
-var quenchNetSets = []string{"signed", "integer", "schedule"}
+// energies tie exactly and so exercise the full-sum tie-break; BuildNets
+// on the benchmark's real schedule; and random nets among the first half
+// of the components only, so the rest carry none and take the net-less
+// early return.
+var quenchNetSets = []string{"signed", "integer", "schedule", "sparse"}
 
 // quenchCase builds one quench input: a random legal placement of the
 // named benchmark's components at the given spacing, and a net set.
@@ -37,6 +39,9 @@ func quenchCase(t testing.TB, bench string, spacing int, set string, seed uint64
 		}
 	case "schedule":
 		nets = BuildNets(sched, 0.6, 0.4)
+	case "sparse":
+		half := max(2, len(comps)/2)
+		nets = randomNets(half, 3*half, r)
 	default:
 		t.Fatalf("unknown net set %q", set)
 	}
@@ -50,11 +55,12 @@ func quenchCase(t testing.TB, bench string, spacing int, set string, seed uint64
 
 // TestQuenchMatchesReferenceQuench checks that the pruned quench ends in
 // exactly the rectangles of the full-Energy reference, over the seven
-// benchmarks × spacing 1, 2, 3 × the three net sets. The reference is
+// benchmarks × spacing 1, 2, 3 × the four net sets. The reference is
 // slow, about 20× more so under the race detector, so a -race run keeps
-// the 21 cases of a Latin square — every benchmark meets every spacing
-// and every net set once, and every spacing meets every net set — and a
-// plain run covers all 63.
+// the 21 cases of a Latin square over the first three net sets — every
+// benchmark meets every spacing and every net set once, and every
+// spacing meets every net set — and 7 cases of the sparse set, one per
+// benchmark; a plain run covers all 84.
 func TestQuenchMatchesReferenceQuench(t *testing.T) {
 	for bi, bm := range benchdata.All() {
 		for spacing := 1; spacing <= 3; spacing++ {

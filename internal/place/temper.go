@@ -16,7 +16,7 @@ import (
 // Parallel tempering (replica exchange) upgrades the independent K-seed
 // portfolio to replicas that cooperate: R chains anneal concurrently at a
 // fixed geometric temperature ladder spanning [Tmin, T0], and at every
-// round boundary adjacent rungs may exchange configurations with the
+// round boundary adjacent rungs may exchange their chains with the
 // Metropolis criterion min(1, exp((β_i-β_j)(E_i-E_j))). Hot rungs explore
 // and feed promising basins down the ladder; cold rungs refine them — the
 // classic replica-exchange tradeoff that buys more effective search per
@@ -24,10 +24,12 @@ import (
 //
 // Determinism is scheduling-independent by construction:
 //
-//   - Every replica owns its RNG (seeded Seed+rung) and placement; within
-//     a round replicas never share mutable state, so stepping them on 1
-//     or N goroutines produces identical chains.
-//   - The shared NetIndex and nets slice are read-only for the whole run.
+//   - Every replica owns its RNG (seeded Seed+rung) and, within a round,
+//     its chain (placement, bound arrays, flat nets); replicas never share
+//     mutable state there, so stepping them on 1 or N goroutines produces
+//     identical chains.
+//   - The shared nets slice, and the NetIndex the final quench reads, are
+//     read-only for the whole run.
 //   - Swap decisions consume a dedicated RNG (derived from Seed only) on
 //     the coordinator, in fixed rung order at fixed round boundaries, and
 //     one uniform draw is consumed per candidate pair whether or not the
@@ -39,17 +41,17 @@ import (
 // TestTemperedDeterminism pins byte-identical output across worker-pool
 // sizes; the default synthesis path never calls into this file.
 
-// temperReplica is the full state of one rung of the ladder.
+// temperReplica is one rung of the ladder: its temperature, its RNG and
+// its best-ever placement stay with the rung, while the chain it steps
+// moves between rungs at every accepted exchange.
 type temperReplica struct {
 	temp  float64 // fixed rung temperature
 	r     *rng.Source
-	p     *Placement
-	cur   float64 // current Eq. 3 energy of p
+	ch    *chain
 	best  *Placement
 	bestE float64
 	// round counters for telemetry, reset every round
 	accepted, rejected, infeasible int
-	err                            error
 }
 
 // AnnealTempered runs parallel-tempering placement with the given number
@@ -69,15 +71,35 @@ func AnnealTemperedContext(ctx context.Context, comps []chip.Component, nets []N
 	if replicas <= 1 {
 		return AnnealContext(ctx, comps, nets, pr)
 	}
+	best, ix, err := temperSteps(ctx, comps, nets, pr, replicas, workers)
+	if err != nil {
+		return nil, err
+	}
+	if err := quenchCtx(ctx, best, nets, ix, pr.Spacing); err != nil {
+		return nil, err
+	}
+	if err := best.Legal(pr.Spacing); err != nil {
+		return nil, fmt.Errorf("place: tempering produced illegal placement: %w", err)
+	}
+	return best, nil
+}
+
+// temperSteps runs the rounds of AnnealTemperedContext, for replicas >= 2,
+// and returns the winning rung's best placement, before the final quench,
+// with the net index built for it.
+func temperSteps(ctx context.Context, comps []chip.Component, nets []Net, pr Params, replicas, workers int) (*Placement, *NetIndex, error) {
 	w, h := pr.PlaneW, pr.PlaneH
 	if w == 0 || h == 0 {
 		w, h = AutoPlane(comps, pr.Spacing)
 	}
 	if pr.Alpha <= 0 || pr.Alpha >= 1 {
-		return nil, fmt.Errorf("place: cooling factor alpha %v outside (0,1)", pr.Alpha)
+		return nil, nil, fmt.Errorf("place: cooling factor alpha %v outside (0,1)", pr.Alpha)
 	}
 	if pr.T0 <= pr.Tmin || pr.Tmin <= 0 {
-		return nil, fmt.Errorf("place: invalid temperature range T0=%v Tmin=%v", pr.T0, pr.Tmin)
+		return nil, nil, fmt.Errorf("place: invalid temperature range T0=%v Tmin=%v", pr.T0, pr.Tmin)
+	}
+	if err := checkChainRange(comps, w, h, pr.Spacing); err != nil {
+		return nil, nil, err
 	}
 	// Rounds mirror the plain annealer's temperature-step count, so a
 	// tempered run spends the same number of moves per replica as one
@@ -95,14 +117,15 @@ func AnnealTemperedContext(ctx context.Context, comps []chip.Component, nets []N
 		rep := &temperReplica{
 			temp: pr.T0 * math.Pow(pr.Tmin/pr.T0, frac),
 			r:    rng.New(pr.Seed + uint64(i)),
+			ch:   new(chain),
 		}
-		rep.p, rep.err = randomPlacement(comps, w, h, pr.Spacing, rep.r)
-		if rep.err != nil {
-			return nil, rep.err
+		p, err := randomPlacement(comps, w, h, pr.Spacing, rep.r)
+		if err != nil {
+			return nil, nil, err
 		}
-		rep.cur = Energy(rep.p, nets)
-		rep.best = rep.p.Clone()
-		rep.bestE = rep.cur
+		rep.best = p.Clone()
+		rep.ch.init(p, ix, pr.Spacing)
+		rep.bestE = rep.ch.cur
 		reps[i] = rep
 	}
 	// The swap stream is keyed on the base seed only; a distinct derivation
@@ -129,17 +152,17 @@ func AnnealTemperedContext(ctx context.Context, comps []chip.Component, nets []N
 	swapsTotal := 0
 	for round := 0; round < rounds; round++ {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("place: tempering aborted at round %d: %w", round, err)
+			return nil, nil, fmt.Errorf("place: tempering aborted at round %d: %w", round, err)
 		}
 		if err := flt.Err(fault.PlaceStepFail); err != nil {
-			return nil, fmt.Errorf("place: tempering aborted at round %d: %w", round, err)
+			return nil, nil, fmt.Errorf("place: tempering aborted at round %d: %w", round, err)
 		}
 		// Stepping phase: every replica runs Imax moves at its rung
 		// temperature. Replicas are mutually independent here, so the
 		// worker fan-out is free to schedule them in any order.
 		if workers == 1 {
 			for _, rep := range reps {
-				rep.step(pr, nets, ix)
+				rep.step(pr.Imax)
 			}
 		} else {
 			jobs := make(chan *temperReplica)
@@ -149,7 +172,7 @@ func AnnealTemperedContext(ctx context.Context, comps []chip.Component, nets []N
 				go func() {
 					defer wg.Done()
 					for rep := range jobs {
-						rep.step(pr, nets, ix)
+						rep.step(pr.Imax)
 					}
 				}()
 			}
@@ -167,10 +190,9 @@ func AnnealTemperedContext(ctx context.Context, comps []chip.Component, nets []N
 			a, b := reps[i], reps[i+1]
 			u := swapRng.Float64()
 			// β_a < β_b (a is hotter); accept with exp((β_a-β_b)(E_a-E_b)).
-			arg := (1/a.temp - 1/b.temp) * (a.cur - b.cur)
+			arg := (1/a.temp - 1/b.temp) * (a.ch.cur - b.ch.cur)
 			if arg >= 0 || u < math.Exp(arg) {
-				a.p, b.p = b.p, a.p
-				a.cur, b.cur = b.cur, a.cur
+				a.ch, b.ch = b.ch, a.ch
 				swaps++
 			}
 		}
@@ -181,7 +203,7 @@ func AnnealTemperedContext(ctx context.Context, comps []chip.Component, nets []N
 				obs.Arg{Key: "swaps", Val: float64(swaps)})
 			for i, rep := range reps {
 				tr.AnnealStep(obs.AnnealStep{
-					Seed: pr.Seed + uint64(i), Temp: rep.temp, Cur: rep.cur, Best: rep.bestE,
+					Seed: pr.Seed + uint64(i), Temp: rep.temp, Cur: rep.ch.cur, Best: rep.bestE,
 					Accepted: rep.accepted, Rejected: rep.rejected, Infeasible: rep.infeasible,
 				})
 			}
@@ -200,47 +222,11 @@ func AnnealTemperedContext(ctx context.Context, comps []chip.Component, nets []N
 			winner = i
 		}
 	}
-	best := reps[winner].best
-	if err := quenchCtx(ctx, best, nets, ix, pr.Spacing); err != nil {
-		return nil, err
-	}
-	if err := best.Legal(pr.Spacing); err != nil {
-		return nil, fmt.Errorf("place: tempering produced illegal placement: %w", err)
-	}
-	return best, nil
+	return reps[winner].best, ix, nil
 }
 
-// step runs one round of Imax Metropolis moves at the replica's rung
-// temperature, maintaining the same incremental-energy discipline as the
-// plain annealer (see AnnealContext): near-tie deltas fall back to the
-// full Eq. 3 sum so the accept/reject stream matches a full-recompute
-// implementation bit for bit.
-func (rep *temperReplica) step(pr Params, nets []Net, ix *NetIndex) {
-	rep.accepted, rep.rejected, rep.infeasible = 0, 0, 0
-	for i := 0; i < pr.Imax; i++ {
-		m, delta, ok := transform(rep.p, pr.Spacing, rep.r, ix)
-		if !ok {
-			rep.infeasible++
-			continue
-		}
-		next, haveNext := 0.0, false
-		if delta > -tieEps && delta < tieEps {
-			next, haveNext = Energy(rep.p, nets), true
-			delta = next - rep.cur
-		}
-		if delta < 0 || rep.r.Float64() < math.Exp(-delta/rep.temp) {
-			if !haveNext {
-				next = Energy(rep.p, nets)
-			}
-			rep.cur = next
-			if rep.cur < rep.bestE {
-				rep.bestE = rep.cur
-				rep.best.CopyFrom(rep.p)
-			}
-			rep.accepted++
-		} else {
-			m.undo(rep.p)
-			rep.rejected++
-		}
-	}
+// step runs one round of Imax Metropolis moves on the replica's chain at
+// its rung temperature.
+func (rep *temperReplica) step(imax int) {
+	rep.accepted, rep.rejected, rep.infeasible = rep.ch.run(imax, rep.temp, rep.r, rep.best, &rep.bestE)
 }

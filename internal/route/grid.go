@@ -324,12 +324,19 @@ func (g *Grid) usableAt(sc *scratch, i int, iv interval.Interval, fl string) boo
 // commit records the task's occupancy along path and leaves its residue:
 // cell weights become the residue's wash time (Fig. 7's updating process).
 // The first cell carries the hold window (movement plus any channel-cache
-// park); the remaining cells carry only the movement window.
+// park); the remaining cells carry only the movement window. A cell off
+// the plane, which only an unvalidated document's path can hold, gets no
+// slot: its packed index would fall outside the grid or alias a cell on
+// it. finishMetrics counts such a cell by value, and the auditor reports
+// it (path-bounds).
 func (g *Grid) commit(task int, path []Cell, move, hold interval.Interval, fl string, wash unit.Time) {
 	if hold.Empty() {
 		hold = move
 	}
 	for k, c := range path {
+		if !g.In(c) {
+			continue
+		}
 		iv := move
 		if k == 0 {
 			iv = hold

@@ -155,3 +155,66 @@ func seededPipeline(t *testing.T, name string, baseline bool, seed uint64) (*sch
 	}
 	return sr, pl
 }
+
+// TestRecomputeMetricsOffPlanePathCell edits the first path cell of a
+// routed PCR to a cell above the plane, one far below it and one just
+// right of it, whose packed index aliases cell (0, 4). Replaying the
+// routes must not panic, must give no slot to the off-plane cell, so
+// none lands on the aliased cell and the grid holds one slot per
+// in-plane path cell, and must count the off-plane cell in the union.
+func TestRecomputeMetricsOffPlanePathCell(t *testing.T) {
+	sched, pl := seededPipeline(t, "PCR", false, 1)
+	res, used, err := Solve(sched, sched.Comps, pl, DefaultParams(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, edit := range []Cell{{0, -1}, {0, 99999}, {used.W, 3}} {
+		t.Run(fmt.Sprintf("%d,%d", edit.X, edit.Y), func(t *testing.T) {
+			tampered := *res
+			tampered.Routes = append([]RoutedTask(nil), res.Routes...)
+			rt := tampered.Routes[0]
+			rt.Path = append([]Cell(nil), rt.Path...)
+			rt.Path[0] = edit
+			tampered.Routes[0] = rt
+
+			g, err := NewGrid(sched.Comps, used, DefaultParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.release()
+			inPlane := 0
+			for _, r := range tampered.Routes {
+				tk := r.Task
+				g.commit(tk.ID, r.Path, tk.Window, tk.Hold, tk.Fluid.Name, tk.Wash)
+				for _, c := range r.Path {
+					if g.In(c) {
+						inPlane++
+					}
+				}
+			}
+			slots := 0
+			for _, ss := range g.slots {
+				slots += len(ss)
+			}
+			if slots != inPlane {
+				t.Errorf("%d slots on the grid, %d in-plane path cells", slots, inPlane)
+			}
+			for _, s := range g.slots[g.idx(0, 4)] {
+				if s.task == rt.Task.ID {
+					t.Errorf("task %d has a slot on (0,4), the alias of its off-plane cell", s.task)
+				}
+			}
+
+			RecomputeMetrics(&tampered, sched, sched.Comps, used, DefaultParams())
+			union := map[Cell]bool{}
+			for _, r := range tampered.Routes {
+				for _, c := range r.Path {
+					union[c] = true
+				}
+			}
+			if tampered.UnionCells != len(union) {
+				t.Errorf("union %d cells, want %d (the off-plane cell counted once)", tampered.UnionCells, len(union))
+			}
+		})
+	}
+}

@@ -472,14 +472,6 @@ func ripUpRecover(g *Grid, res *Result, t Task, weighted bool, rounds int, tr *o
 	return nil
 }
 
-// finishMetrics computes the union channel length and the total channel
-// wash time. Every channel cell must be washed after carrying a fluid
-// (Section II-B: channels are cleaned by flushing a buffer), except when
-// the next fluid through the cell is the same sample — its own residue
-// does not contaminate it, so consecutive same-fluid uses share a single
-// wash. Shorter routes and same-fluid channel sharing therefore reduce
-// the total wash time, which is exactly the behaviour the cell-weight
-// mechanism of Eq. 5 promotes.
 // RecomputeMetrics refreshes the derived quantities (union channel
 // length, channel wash time) of a routing result whose Routes were
 // reconstructed externally, e.g. after decoding a serialized solution.
@@ -510,6 +502,14 @@ func sameIntSet(a, b map[int]bool) bool {
 	return true
 }
 
+// finishMetrics computes the union channel length and the total channel
+// wash time. Every channel cell must be washed after carrying a fluid
+// (Section II-B: channels are cleaned by flushing a buffer), except when
+// the next fluid through the cell is the same sample — its own residue
+// does not contaminate it, so consecutive same-fluid uses share a single
+// wash. Shorter routes and same-fluid channel sharing therefore reduce
+// the total wash time, which is exactly the behaviour the cell-weight
+// mechanism of Eq. 5 promotes.
 func finishMetrics(res *Result, g *Grid) {
 	// Union cells are counted with the scratch's generation stamps. Only
 	// an unvalidated document's paths (RecomputeMetrics) can hold a cell

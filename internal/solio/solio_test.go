@@ -9,6 +9,7 @@ import (
 	"repro/internal/benchdata"
 	"repro/internal/chip"
 	"repro/internal/core"
+	"repro/internal/route"
 )
 
 func solve(t *testing.T, name string, baseline bool) *core.Solution {
@@ -242,5 +243,44 @@ func BenchmarkSolioDecode(b *testing.B) {
 		if _, err := Decode(bytes.NewReader(doc)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestDecodeUnvalidatedOffPlanePathCell: a document whose first path
+// cell lies off the plane — above it, far below it, or just right of it,
+// where the cell's packed index aliases an on-plane cell — decodes
+// without a panic or an error, and its audit reports path-bounds. The
+// validating decoder rejects it.
+func TestDecodeUnvalidatedOffPlanePathCell(t *testing.T) {
+	sol := solve(t, "PCR", false)
+	for _, edit := range [][2]int{{0, -1}, {0, 99999}, {sol.Placement.W, 3}} {
+		t.Run(fmt.Sprintf("%d,%d", edit[0], edit[1]), func(t *testing.T) {
+			tampered := *sol
+			routing := *sol.Routing
+			routing.Routes = append([]route.RoutedTask(nil), sol.Routing.Routes...)
+			rt := routing.Routes[0]
+			rt.Path = append([]route.Cell(nil), rt.Path...)
+			rt.Path[0] = route.Cell{X: edit[0], Y: edit[1]}
+			routing.Routes[0] = rt
+			tampered.Routing = &routing
+			var buf bytes.Buffer
+			if err := Encode(&buf, &tampered); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Decode(bytes.NewReader(buf.Bytes())); err == nil {
+				t.Error("Decode accepted an off-plane path cell")
+			}
+			got, err := DecodeUnvalidated(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatalf("DecodeUnvalidated: %v", err)
+			}
+			found := false
+			for _, v := range core.Audit(got).Violations {
+				found = found || v.Rule == "path-bounds"
+			}
+			if !found {
+				t.Error("the audit reports no path-bounds violation")
+			}
+		})
 	}
 }
