@@ -66,11 +66,12 @@ bench-smoke:
 # batch-submit path, schedule materialization, the journal's accept and
 # terminal appends, solution encode and decode, Algorithm 1 scheduling,
 # a session repair held at each rung of the ladder, the session
-# fingerprint, the assay's canonical encoding, a session open on a
-# checked entry and the audit of a reroute candidate must all still
-# exist by name.
-BENCH_LOAD_NAMES := BenchmarkServeCacheHit BenchmarkCacheKey BenchmarkBatchSubmit BenchmarkScheduleBuild BenchmarkJournalAppend BenchmarkSolioEncode BenchmarkSolioDecode BenchmarkScheduleAlgorithm1 BenchmarkSessionRepair/reroute BenchmarkSessionRepair/reschedule BenchmarkSessionRepair/dilate BenchmarkSessionRepair/sa BenchmarkSessionFingerprint BenchmarkAssayMarshal BenchmarkSessionOpen BenchmarkAuditRepair
-BENCH_LOAD_REGEX := BenchmarkServeCacheHit|BenchmarkCacheKey|BenchmarkBatchSubmit|BenchmarkScheduleBuild|BenchmarkJournalAppend|BenchmarkSolioEncode|BenchmarkSolioDecode|BenchmarkScheduleAlgorithm1|BenchmarkSessionRepair|BenchmarkSessionFingerprint|BenchmarkAssayMarshal|BenchmarkSessionOpen|BenchmarkAuditRepair
+# fingerprint taken in full and resumed after the document's head, the
+# assay's canonical encoding, a session open on a checked entry, a whole
+# session script (open, six reroutes, close) through the handler and
+# the audit of a reroute candidate must all still exist by name.
+BENCH_LOAD_NAMES := BenchmarkServeCacheHit BenchmarkCacheKey BenchmarkBatchSubmit BenchmarkScheduleBuild BenchmarkJournalAppend BenchmarkSolioEncode BenchmarkSolioDecode BenchmarkScheduleAlgorithm1 BenchmarkSessionRepair/reroute BenchmarkSessionRepair/reschedule BenchmarkSessionRepair/dilate BenchmarkSessionRepair/sa BenchmarkSessionFingerprint/full BenchmarkSessionFingerprint/resume BenchmarkAssayMarshal BenchmarkSessionOpen BenchmarkSessionScript BenchmarkAuditRepair
+BENCH_LOAD_REGEX := BenchmarkServeCacheHit|BenchmarkCacheKey|BenchmarkBatchSubmit|BenchmarkScheduleBuild|BenchmarkJournalAppend|BenchmarkSolioEncode|BenchmarkSolioDecode|BenchmarkScheduleAlgorithm1|BenchmarkSessionRepair|BenchmarkSessionFingerprint|BenchmarkAssayMarshal|BenchmarkSessionOpen|BenchmarkSessionScript|BenchmarkAuditRepair
 
 bench-load:
 	@out=$$($(GO) test -run xxx -bench '$(BENCH_LOAD_REGEX)' -benchtime 1x ./internal/server/ ./internal/loadgen/ ./internal/journal/ ./internal/solio/ ./internal/session/ ./internal/schedule/ ./internal/assay/ ./internal/verify/ 2>&1); \

@@ -137,7 +137,6 @@ type Solution struct {
 	Opts      Options
 	Schedule  *schedule.Result
 	Placement *place.Placement
-	Nets      []place.Net
 	Routing   *route.Result
 	// Baseline records which algorithm produced the solution.
 	Baseline bool
@@ -429,7 +428,6 @@ func synthesize(ctx context.Context, g *assay.Graph, alloc chip.Allocation, opts
 		Opts:         opts,
 		Schedule:     sched,
 		Placement:    used,
-		Nets:         nets,
 		Routing:      routing,
 		Baseline:     baseline,
 		CPU:          time.Since(start),

@@ -1,10 +1,10 @@
 // Package jsonw appends JSON without reflection, in exactly the bytes
 // encoding/json's Encoder writes with SetIndent("", "  "): two-space
 // indentation, ": " after each key, encoding/json's float format and its
-// HTML-safe string escaping. The canonical solution document (solio) and
-// the assay format (assay) are written through it; encoding/json stays
-// their decoder, and their tests keep the reflection-based encoder as the
-// byte-for-byte oracle.
+// HTML-safe string escaping. The canonical solution document (solio),
+// the assay format (assay) and the chip-session replies (session, server)
+// are written through it; encoding/json stays their decoder, and their
+// tests keep the reflection-based encoder as the byte-for-byte oracle.
 package jsonw
 
 import (
@@ -35,6 +35,16 @@ func NewWriter(dst []byte) Writer { return Writer{buf: dst} }
 
 // Bytes returns dst with everything written so far appended.
 func (w *Writer) Bytes() []byte { return w.buf }
+
+// Resume returns a Writer in w's state, open containers and separators
+// included, that appends to dst instead: what w wrote went elsewhere
+// (into a hash, say), and what follows it goes to dst. Resumed with a
+// nil dst, the copy keeps the state without holding w's bytes.
+func (w *Writer) Resume(dst []byte) Writer {
+	r := *w
+	r.buf = dst
+	return r
+}
 
 // Err returns the first unsupported value written, if any.
 func (w *Writer) Err() error { return w.err }

@@ -169,7 +169,8 @@ func (sc *scratch) hpop() heapNode {
 // multi-source BFS (on an unobstructed 4-connected grid, BFS distance IS
 // Manhattan distance to the nearest source) and then read in O(1) per
 // node. Rings never change after NewGrid, so the field is cached for the
-// grid's lifetime.
+// grid's lifetime, and Repair can keep it for later grids of the same
+// placement (Fields).
 func (g *Grid) hfield(comp chip.CompID) []int32 {
 	if f := g.hfields[comp]; f != nil {
 		return f

@@ -3,6 +3,7 @@ package route
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/chip"
@@ -30,6 +31,34 @@ type RepairSpec struct {
 	// conflict-free, so a repair perturbs as little of the chip as the
 	// fault demands.
 	PrevPaths map[int][]Cell
+	// Fields, when set, keeps the A* heuristic fields this call computes
+	// for later calls on the same placement (see Fields).
+	Fields *Fields
+}
+
+// Fields keeps the A* heuristic fields of one placement across Repair
+// calls. Each field is a BFS from a component's port rings that reads no
+// blocked cell, and the rings are the free cells around the footprints,
+// so a field depends on the placement alone: not on the schedule, the
+// dead cells or what is committed. Repair reuses the fields when handed
+// a placement with the same plane and footprints and starts afresh on
+// any other. The zero value holds none. A Fields is not safe for
+// concurrent use.
+type Fields struct {
+	w, h   int
+	rects  []place.Rect
+	fields [][]int32 // by component; nil until a search first needs it
+}
+
+// of returns the fields of pl, emptied first if they were computed for
+// another placement.
+func (f *Fields) of(pl *place.Placement) [][]int32 {
+	if f.w != pl.W || f.h != pl.H || !slices.Equal(f.rects, pl.Rects) {
+		f.w, f.h = pl.W, pl.H
+		f.rects = append(f.rects[:0], pl.Rects...)
+		f.fields = make([][]int32, len(pl.Rects))
+	}
+	return f.fields
 }
 
 // Repair routes a repaired schedule on the surviving plane: frozen tasks
@@ -47,6 +76,9 @@ func Repair(ctx context.Context, sched *schedule.Result, comps []chip.Component,
 		return nil, err
 	}
 	defer g.release()
+	if spec.Fields != nil {
+		g.hfields = spec.Fields.of(pl)
+	}
 	tasks := TasksFrom(sched)
 	res := &Result{GridW: g.W, GridH: g.H, Pitch: pr.Pitch}
 	tr := obs.From(ctx)

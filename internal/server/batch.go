@@ -90,9 +90,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var breq batchRequest
-	dec := json.NewDecoder(bytes.NewReader(bodyBuf.Bytes()))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&breq); err != nil {
+	if err := decodeBody(bodyBuf.Bytes(), &breq); err != nil {
 		writeErr(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}

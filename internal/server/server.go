@@ -442,6 +442,27 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_, _ = w.Write(buf.Bytes())
 }
 
+// decodeBody decodes the one JSON value a request body holds into v,
+// refusing unknown fields and anything but whitespace after the value:
+// a body with a second value or trailing garbage is malformed, not a
+// request for its first value. (The journal replay decodes as before, so
+// an older binary's accepted record still replays.)
+func decodeBody(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if rest := bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		at := len(body) - len(rest)
+		if len(rest) > 32 {
+			rest = rest[:32]
+		}
+		return fmt.Errorf("trailing data after the JSON value at offset %d: %q", at, rest)
+	}
+	return nil
+}
+
 // writeErr writes a JSON error body.
 func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
@@ -477,9 +498,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	}
 	body := bodyBuf.Bytes()
 	var sreq SynthesizeRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sreq); err != nil {
+	if err := decodeBody(body, &sreq); err != nil {
 		writeErr(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}

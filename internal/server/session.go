@@ -7,16 +7,18 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/journal"
+	"repro/internal/jsonw"
 	"repro/internal/obs"
 	"repro/internal/session"
+	"repro/internal/solcache"
 )
 
 // session.go: the chip-session API — long-lived sessions that pin one
@@ -115,6 +117,56 @@ type repairResponse struct {
 	Error    string               `json:"error,omitempty"`
 }
 
+// WriteJSON writes the reply as encoding/json writes it (jsonw's
+// format).
+func (r *sessionResponse) WriteJSON(w *jsonw.Writer) {
+	w.Object()
+	r.Snapshot.WriteMembers(w)
+	if r.Cached {
+		w.Key("cached")
+		w.Bool(true)
+	}
+	w.Key("session")
+	w.String(r.Session)
+	w.Key("faults")
+	w.String(r.Faults)
+	w.EndObject()
+}
+
+// WriteJSON writes the reply as encoding/json writes it (jsonw's
+// format).
+func (r *repairResponse) WriteJSON(w *jsonw.Writer) {
+	w.Object()
+	w.Key("record")
+	r.Record.WriteJSON(w)
+	w.Key("snapshot")
+	r.Snapshot.WriteJSON(w)
+	if r.Error != "" {
+		w.Key("error")
+		w.String(r.Error)
+	}
+	w.EndObject()
+}
+
+// reply is a session reply body that writes itself through jsonw.
+type reply interface{ WriteJSON(*jsonw.Writer) }
+
+// writeReply writes a session reply with the given status code: the body
+// v's WriteJSON appends into a pooled buffer, byte for byte what
+// writeJSON writes for the same value through encoding/json. A session
+// reply holds no float, so it cannot fail to encode.
+func writeReply(w http.ResponseWriter, code int, v reply) {
+	buf := getBuf()
+	defer putBuf(buf)
+	jw := jsonw.NewWriter(buf.AvailableBuffer())
+	v.WriteJSON(&jw)
+	buf.Write(append(jw.Bytes(), '\n'))
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.WriteHeader(code)
+	_, _ = w.Write(buf.Bytes())
+}
+
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	bodyBuf := getBuf()
@@ -125,9 +177,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	body := bodyBuf.Bytes()
 	var sreq SynthesizeRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sreq); err != nil {
+	if err := decodeBody(body, &sreq); err != nil {
 		writeErr(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
@@ -191,7 +241,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		ID: RequestID(r.Context()), TraceID: rec.TraceID(), Time: time.Now(),
 		DurMs: msf(d), Outcome: "opened", Route: routeSession, Cached: cached,
 	})
-	writeJSON(w, http.StatusCreated, sessionResponse{
+	writeReply(w, http.StatusCreated, &sessionResponse{
 		Snapshot: st.sess.Snapshot(),
 		Cached:   cached,
 		Session:  "/v1/sessions/" + sid,
@@ -199,43 +249,42 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// openSession produces the solution to pin (cache hit or inline
-// synthesis) and wraps it in a session. The solution always round-trips
-// through its canonical solio document — cache-served and freshly
-// synthesized sessions start from byte-identical state — and carries the
-// request's fully resolved options (the document's option record is
-// lossy on fields that don't affect solution bytes). The decoded
-// solution is the cache entry's, shared with every other session on it,
-// so the options go into a shallow copy: a session never writes the
-// solution it pins, and its repairs build new ones.
+// openSession produces the cache entry of the solution to pin (a hit or
+// an inline synthesis) and opens a session on the entry's session base.
+// The solution always round-trips through its canonical solio document
+// — cache-served and freshly synthesized sessions start from
+// byte-identical state — and carries the request's fully resolved
+// options (the document's option record is lossy on fields that don't
+// affect solution bytes). The base is built once per entry, on the
+// first open, and shared with every later session on it: an open is a
+// cache hit and a struct copy. A session never writes the solution it
+// pins, and its repairs build new ones.
 func (s *Server) openSession(ctx context.Context, sid string, req *request, rec *obs.SpanRecorder) (*sessionEntry, bool, error) {
-	shared, cached, err := s.sessionSolution(ctx, req, rec)
+	e, cached, err := s.solutionEntry(ctx, req, rec)
 	if err != nil {
 		return nil, false, err
 	}
-	sol := *shared
-	sol.Opts = req.opts
-	sess, err := session.New(sid, &sol, req.alloc)
+	base, err := e.SessionBase(req.opts, req.alloc)
 	if err != nil {
 		return nil, cached, err
 	}
-	return &sessionEntry{sess: sess}, cached, nil
+	return &sessionEntry{sess: session.Open(sid, base)}, cached, nil
 }
 
-// sessionSolution serves the request's solution from the cache or
+// solutionEntry serves the request's cache entry from the cache or
 // synthesizes it inline (synchronously — session creation is a pinning
 // operation, not a fire-and-poll job). Inline synthesis shares the
 // worker-pool budget via sessSem so session creates cannot oversubscribe
 // the node.
-func (s *Server) sessionSolution(ctx context.Context, req *request, rec *obs.SpanRecorder) (*core.Solution, bool, error) {
+func (s *Server) solutionEntry(ctx context.Context, req *request, rec *obs.SpanRecorder) (*solcache.Entry, bool, error) {
 	probeStart := time.Now()
 	if e := s.cached(req.key); e != nil {
 		rec.Add("cache.probe", "", probeStart, time.Since(probeStart), "hit")
 		// The entry's shared, read-only solution: its first read
 		// decodes it (on an unchecked entry that decode is the check),
 		// every later open reuses it.
-		if sol, err := e.Solution(); err == nil {
-			return sol, true, nil
+		if _, err := e.Solution(); err == nil {
+			return e, true, nil
 		}
 		// An entry that fails its check falls through to a fresh
 		// synthesis; the failed entry keeps its key.
@@ -252,11 +301,7 @@ func (s *Server) sessionSolution(ctx context.Context, req *request, rec *obs.Spa
 	if err != nil {
 		return nil, false, err
 	}
-	sol, err := res.entry.Solution()
-	if err != nil {
-		return nil, false, err
-	}
-	return sol, false, nil
+	return res.entry, false, nil
 }
 
 func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
@@ -269,7 +314,8 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "unknown session %q", sid)
 		return
 	}
-	writeJSON(w, http.StatusOK, st.sess.Snapshot())
+	snap := st.sess.Snapshot()
+	writeReply(w, http.StatusOK, &snap)
 }
 
 func (s *Server) handleSessionFault(w http.ResponseWriter, r *http.Request) {
@@ -283,9 +329,7 @@ func (s *Server) handleSessionFault(w http.ResponseWriter, r *http.Request) {
 	}
 	body := bodyBuf.Bytes()
 	var fr session.FaultReport
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&fr); err != nil {
+	if err := decodeBody(body, &fr); err != nil {
 		writeErr(w, http.StatusBadRequest, "decoding fault report: %v", err)
 		return
 	}
@@ -340,7 +384,7 @@ func (s *Server) handleSessionFault(w http.ResponseWriter, r *http.Request) {
 		s.metrics.histRepair.observe(rd.Dur)
 		s.sealSessionRepair(r, rec, rd.Outcome, "", start)
 		s.slo.Observe(time.Since(start))
-		writeJSON(w, http.StatusOK, repairResponse{Record: rd, Snapshot: st.sess.Snapshot()})
+		writeReply(w, http.StatusOK, &repairResponse{Record: rd, Snapshot: st.sess.Snapshot()})
 
 	case errors.Is(err, session.ErrAbandoned):
 		st.cells = rd.CellsLost
@@ -353,7 +397,7 @@ func (s *Server) handleSessionFault(w http.ResponseWriter, r *http.Request) {
 		s.retireSession(st)
 		s.sealSessionRepair(r, rec, session.OutcomeAbandoned, err.Error(), start)
 		s.slo.Fail()
-		writeJSON(w, http.StatusOK, repairResponse{
+		writeReply(w, http.StatusOK, &repairResponse{
 			Record: rd, Snapshot: st.sess.Snapshot(), Error: err.Error(),
 		})
 
@@ -403,15 +447,15 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st.mu.Lock()
-	wasActive := st.sess.Snapshot().State == session.Active
-	st.sess.Close()
+	wasActive := st.sess.Close()
 	s.terminalSessionLocked(st, "", "done")
 	st.mu.Unlock()
 	if wasActive {
 		s.metrics.sessionsLive.Add(-1)
 		s.retireSession(st)
 	}
-	writeJSON(w, http.StatusOK, st.sess.Snapshot())
+	snap := st.sess.Snapshot()
+	writeReply(w, http.StatusOK, &snap)
 }
 
 // terminalSessionLocked closes out every pending journal entry of a

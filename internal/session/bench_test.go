@@ -30,18 +30,30 @@ func benchSolution(b *testing.B) (*core.Solution, chip.Allocation) {
 	return sol, bm.Alloc
 }
 
-// BenchmarkSessionFingerprint is the print every session open and every
-// installed repair takes of its ~60 KB Synthetic4 document.
+// BenchmarkSessionFingerprint is the print of a ~60 KB Synthetic4
+// document. full encodes and hashes the whole document, as a session
+// base and every rung that installs a new schedule or placement do;
+// resume only the tail after the saved head, as every reroute does.
 func BenchmarkSessionFingerprint(b *testing.B) {
 	sol, _ := benchSolution(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fp, err := fingerprint(sol)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printSink = fp
+	_, h, err := fingerprint(sol, head{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		h    head
+	}{{"full", head{}}, {"resume", h}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				fp, _, err := fingerprint(sol, c.h)
+				if err != nil {
+					b.Fatal(err)
+				}
+				printSink = fp
+			}
+		})
 	}
 }
 

@@ -43,16 +43,19 @@ package session
 import (
 	"context"
 	"crypto/sha256"
+	"encoding"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/chip"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/jsonw"
 	"repro/internal/obs"
 	"repro/internal/place"
 	"repro/internal/route"
@@ -150,37 +153,74 @@ type Session struct {
 	defects []route.Cell
 	repairs []RepairRecord
 
-	analysis whatif.Analysis
-	print    string
+	singlePoints []string // the base's, read-only
+	print        string
+	head         head // resumes the print of sol after its document's head
+	// fields keeps the router's heuristic fields across repairs of one
+	// placement; Close and abandonment drop them, because a retained
+	// terminal session must not hold them.
+	fields route.Fields
 }
 
-// New opens a session around an already-synthesized solution. The
-// solution is treated as immutable: repairs replace it, never mutate it.
-// A single-failure what-if study runs at open so the client learns the
-// assay's single points of failure up front.
-func New(id string, sol *core.Solution, alloc chip.Allocation) (*Session, error) {
+// Base is what every session opened on one solution starts from: the
+// solution, its print, the state to resume that print after the
+// document's head, and the single points of failure of the open-time
+// what-if study. A base is read-only once built, so any number of
+// sessions may open on it at once, and it holds no routing state.
+type Base struct {
+	sol          *core.Solution
+	print        string
+	head         head
+	singlePoints []string
+}
+
+// NewBase prints the solution and runs a single-failure what-if study
+// on it, so each client learns the assay's single points of failure up
+// front. The solution is treated as immutable: repairs replace it, never
+// mutate it.
+func NewBase(sol *core.Solution, alloc chip.Allocation) (*Base, error) {
 	if sol == nil || sol.Schedule == nil || sol.Placement == nil || sol.Routing == nil {
 		return nil, fmt.Errorf("session: incomplete solution")
 	}
 	if sol.Baseline {
 		return nil, fmt.Errorf("session: baseline solutions cannot be repaired (no storage-aware suffix re-entry)")
 	}
-	s := &Session{
-		id:     id,
-		sol:    sol,
-		opts:   sol.Opts,
-		state:  Active,
-		banned: make([]bool, len(sol.Comps)),
-	}
-	fp, err := fingerprint(sol)
+	fp, h, err := fingerprint(sol, head{})
 	if err != nil {
 		return nil, err
 	}
-	s.print = fp
+	b := &Base{sol: sol, print: fp, head: h}
 	if an, err := whatif.SingleFailures(sol.Assay, alloc, sol.Opts.Schedule); err == nil {
-		s.analysis = an
+		for _, tp := range an.SinglePoints {
+			b.singlePoints = append(b.singlePoints, tp.String())
+		}
 	}
-	return s, nil
+	return b, nil
+}
+
+// Open opens a session on a base: a struct copy, with no encoding,
+// hashing or scheduling.
+func Open(id string, b *Base) *Session {
+	return &Session{
+		id:           id,
+		sol:          b.sol,
+		opts:         b.sol.Opts,
+		state:        Active,
+		banned:       make([]bool, len(b.sol.Comps)),
+		singlePoints: b.singlePoints,
+		print:        b.print,
+		head:         b.head,
+	}
+}
+
+// New opens a session around an already-synthesized solution, on a base
+// of its own (NewBase).
+func New(id string, sol *core.Solution, alloc chip.Allocation) (*Session, error) {
+	b, err := NewBase(sol, alloc)
+	if err != nil {
+		return nil, err
+	}
+	return Open(id, b), nil
 }
 
 // ID returns the session identifier.
@@ -203,28 +243,116 @@ type Snapshot struct {
 	SinglePoints []string `json:"single_points,omitempty"`
 }
 
+// WriteJSON writes the snapshot as encoding/json writes it (jsonw's
+// format), without reflection.
+func (snap *Snapshot) WriteJSON(w *jsonw.Writer) {
+	w.Object()
+	snap.WriteMembers(w)
+	w.EndObject()
+}
+
+// WriteMembers writes the snapshot's members, in field order, into the
+// object w has open: a reply that embeds a Snapshot writes its own
+// members after them, as encoding/json flattens an embedded struct.
+func (snap *Snapshot) WriteMembers(w *jsonw.Writer) {
+	w.Key("id")
+	w.String(snap.ID)
+	w.Key("state")
+	w.String(string(snap.State))
+	w.Key("cut")
+	w.Int(int64(snap.Cut))
+	w.Key("makespan")
+	w.Int(int64(snap.Makespan))
+	w.Key("grid_w")
+	w.Int(int64(snap.GridW))
+	w.Key("grid_h")
+	w.Int(int64(snap.GridH))
+	w.Key("cells_lost")
+	w.Int(int64(snap.CellsLost))
+	w.Key("comps_lost")
+	w.Int(int64(snap.CompsLost))
+	w.Key("fingerprint")
+	w.String(snap.Fingerprint)
+	if len(snap.Repairs) > 0 {
+		w.Key("repairs")
+		w.Array()
+		for i := range snap.Repairs {
+			snap.Repairs[i].WriteJSON(w)
+		}
+		w.EndArray()
+	}
+	if len(snap.SinglePoints) > 0 {
+		w.Key("single_points")
+		writeStrings(w, snap.SinglePoints)
+	}
+}
+
+// WriteJSON writes the record as encoding/json writes it (jsonw's
+// format), without reflection.
+func (r *RepairRecord) WriteJSON(w *jsonw.Writer) {
+	w.Object()
+	w.Key("index")
+	w.Int(int64(r.Index))
+	w.Key("at")
+	w.Int(int64(r.At))
+	w.Key("rung")
+	w.String(r.Rung)
+	w.Key("outcome")
+	w.String(r.Outcome)
+	w.Key("cells_lost")
+	w.Int(int64(r.CellsLost))
+	w.Key("comps_lost")
+	w.Int(int64(r.CompsLost))
+	if r.Makespan != 0 {
+		w.Key("makespan")
+		w.Int(int64(r.Makespan))
+	}
+	if r.Fingerprint != "" {
+		w.Key("fingerprint")
+		w.String(r.Fingerprint)
+	}
+	if len(r.Escalations) > 0 {
+		w.Key("escalations")
+		writeStrings(w, r.Escalations)
+	}
+	if r.Err != "" {
+		w.Key("error")
+		w.String(r.Err)
+	}
+	w.Key("dur_ns")
+	w.Int(int64(r.Dur))
+	w.EndObject()
+}
+
+// writeStrings writes a non-empty string slice as an array.
+func writeStrings(w *jsonw.Writer, ss []string) {
+	w.Array()
+	for _, s := range ss {
+		w.String(s)
+	}
+	w.EndArray()
+}
+
 // Snapshot returns a copy of the session's visible state.
 func (s *Session) Snapshot() Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	snap := Snapshot{
-		ID:          s.id,
-		State:       s.state,
-		Cut:         s.cut,
-		Makespan:    s.sol.Schedule.Makespan,
-		GridW:       s.sol.Routing.GridW,
-		GridH:       s.sol.Routing.GridH,
-		CellsLost:   len(s.defects),
-		Fingerprint: s.print,
-		Repairs:     append([]RepairRecord(nil), s.repairs...),
+		ID:           s.id,
+		State:        s.state,
+		Cut:          s.cut,
+		Makespan:     s.sol.Schedule.Makespan,
+		GridW:        s.sol.Routing.GridW,
+		GridH:        s.sol.Routing.GridH,
+		CellsLost:    len(s.defects),
+		Fingerprint:  s.print,
+		Repairs:      append([]RepairRecord(nil), s.repairs...),
+		SinglePoints: slices.Clone(s.singlePoints),
 	}
 	for _, b := range s.banned {
 		if b {
 			snap.CompsLost++
 		}
-	}
-	for _, tp := range s.analysis.SinglePoints {
-		snap.SinglePoints = append(snap.SinglePoints, tp.String())
 	}
 	return snap
 }
@@ -237,14 +365,18 @@ func (s *Session) Solution() *core.Solution {
 	return s.sol
 }
 
-// Close marks the session finished. Closing is idempotent; an abandoned
-// session stays abandoned.
-func (s *Session) Close() {
+// Close marks the session finished and drops its kept routing fields.
+// Closing is idempotent; an abandoned session stays abandoned. It
+// reports whether the session was active.
+func (s *Session) Close() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.state == Active {
-		s.state = Closed
+	s.fields = route.Fields{}
+	if s.state != Active {
+		return false
 	}
+	s.state = Closed
+	return true
 }
 
 // Repair applies one fault report: validates it, escalates through the
@@ -344,7 +476,7 @@ func (s *Session) Repair(ctx context.Context, fr FaultReport) (RepairRecord, err
 		}
 		// Print the solution as it is installed, its degradation record
 		// included.
-		fp, err := fingerprint(sol)
+		fp, h, err := fingerprint(sol, s.head)
 		if err != nil {
 			return RepairRecord{}, err
 		}
@@ -353,6 +485,7 @@ func (s *Session) Repair(ctx context.Context, fr FaultReport) (RepairRecord, err
 		rec.Dur = time.Since(t0)
 		s.sol = sol
 		s.print = fp
+		s.head = h
 		s.cut = fr.At
 		s.banned = banned
 		s.defects = defects
@@ -367,6 +500,7 @@ func (s *Session) Repair(ctx context.Context, fr FaultReport) (RepairRecord, err
 	rec.Err = lastErr.Error()
 	rec.Dur = time.Since(t0)
 	s.state = Abandoned
+	s.fields = route.Fields{}
 	s.cut = fr.At
 	s.banned = banned
 	s.defects = defects
@@ -440,7 +574,7 @@ func (s *Session) attempt(ctx context.Context, rung string, at unit.Time, banned
 		var lastErr error
 		for k := 1; k <= 3; k++ {
 			pl := place.Dilate(s.sol.Placement, math.Pow(1.5, float64(k)))
-			spec := route.RepairSpec{Defects: defects}
+			spec := route.RepairSpec{Defects: defects, Fields: &s.fields}
 			rt, err := route.Repair(ctx, re, s.sol.Comps, pl, rp, spec)
 			if err != nil {
 				lastErr = err
@@ -470,7 +604,7 @@ func (s *Session) attempt(ctx context.Context, rung string, at unit.Time, banned
 		if err != nil {
 			return nil, err
 		}
-		spec := route.RepairSpec{Defects: defects}
+		spec := route.RepairSpec{Defects: defects, Fields: &s.fields}
 		rt, err := route.Repair(ctx, re, s.sol.Comps, pl, rp, spec)
 		if err != nil {
 			return nil, err
@@ -500,6 +634,7 @@ func (s *Session) routeSpec(sched *schedule.Result, at unit.Time, defects []rout
 		Defects:   defects,
 		Frozen:    map[int]bool{},
 		PrevPaths: map[int][]route.Cell{},
+		Fields:    &s.fields,
 	}
 	executed := schedule.Executed(sched, at)
 	for _, tr := range sched.Transports {
@@ -520,7 +655,6 @@ func (s *Session) replace(sched *schedule.Result, pl *place.Placement, rt *route
 	sol.Schedule = sched
 	sol.Placement = pl
 	sol.Routing = rt
-	sol.Nets = place.BuildNets(sched, s.opts.Place.Beta, s.opts.Place.Gamma)
 	sol.Degradations = append([]core.Degradation(nil), s.sol.Degradations...)
 	return &sol
 }
@@ -547,21 +681,62 @@ func (s *Session) audit(sol *core.Solution, at unit.Time, banned []bool, defects
 	return verify.AuditRepair(in, spec)
 }
 
+// head is the state to resume a print after the head of a solution's
+// document (solio.AppendHead): the SHA-256 state and the writer state
+// after the head, and the schedule and placement the head encodes. The
+// rest of the head (baseline flag, assay, options, components) is the
+// same in every solution a session installs, so a solution that keeps
+// this schedule and placement has this head. The zero head resumes
+// nothing.
+type head struct {
+	sched  *schedule.Result
+	pl     *place.Placement
+	digest []byte       // the SHA-256 state, from its MarshalBinary
+	w      jsonw.Writer // holding no bytes
+}
+
 // fingerprint is the SHA-256 of the solution's canonical encoding with
 // the wall-clock measurements zeroed — fingerprints cover solution
 // content, and CPU time is the one field that legitimately varies
-// between byte-identical runs. solio.Encode appends the document into a
-// pooled buffer and hands it to the hash in one Write.
-func fingerprint(sol *core.Solution) (string, error) {
+// between byte-identical runs. When sol keeps h's schedule and
+// placement, as a reroute does, only the document's tail is encoded
+// and hashed, resumed from h, and h is returned. Otherwise the whole
+// document is, into a pooled buffer, and the head returned is sol's.
+func fingerprint(sol *core.Solution, h head) (string, head, error) {
 	c := *sol
 	c.CPU = 0
 	c.Stages = core.StageTimes{}
-	h := sha256.New()
-	if err := solio.Encode(h, &c); err != nil {
-		return "", fmt.Errorf("session: fingerprint: %w", err)
+	bp := printBufs.Get().(*[]byte)
+	defer printBufs.Put(bp)
+	d := sha256.New()
+	var w jsonw.Writer
+	if h.digest != nil && sol.Schedule == h.sched && sol.Placement == h.pl {
+		if err := d.(encoding.BinaryUnmarshaler).UnmarshalBinary(h.digest); err != nil {
+			return "", head{}, fmt.Errorf("session: fingerprint: %w", err)
+		}
+		w = h.w.Resume((*bp)[:0])
+	} else {
+		w = solio.AppendHead((*bp)[:0], &c)
+		d.Write(w.Bytes())
+		digest, err := d.(encoding.BinaryMarshaler).MarshalBinary()
+		if err != nil {
+			return "", head{}, fmt.Errorf("session: fingerprint: %w", err)
+		}
+		h = head{sched: sol.Schedule, pl: sol.Placement, digest: digest, w: w.Resume(nil)}
+		w = w.Resume(w.Bytes()[:0]) // the head is hashed; the tail reuses its bytes
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	b, err := solio.AppendTail(w, &c)
+	if err != nil {
+		return "", head{}, fmt.Errorf("session: fingerprint: %w", err)
+	}
+	*bp = b[:0]
+	d.Write(b)
+	return hex.EncodeToString(d.Sum(nil)), h, nil
 }
+
+// printBufs recycles fingerprint's documents: a Synthetic4 document is
+// ~60 KB, its tail ~16 KB.
+var printBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 func cellKnown(cells []route.Cell, c route.Cell) bool {
 	for _, k := range cells {

@@ -23,8 +23,10 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/chip"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/session"
 	"repro/internal/solio"
 )
 
@@ -60,6 +62,12 @@ type Entry struct {
 	decode sync.Once
 	sol    atomic.Pointer[core.Solution]
 	solErr error
+
+	// base runs once, on the first SessionBase call, and keeps the
+	// session base built on the decoded solution (or baseErr).
+	base    sync.Once
+	sbase   *session.Base
+	baseErr error
 
 	// owner is the cache holding the entry, nil when none does; charged
 	// is the part of that cache's byte count the entry accounts for. Both
@@ -128,6 +136,29 @@ func (e *Entry) Solution() (*core.Solution, error) {
 		return nil, e.err
 	}
 	return e.sol.Load(), e.solErr
+}
+
+// SessionBase returns the base every session opened on the entry starts
+// from (session.Open): the print, its saved head and the what-if study
+// of the entry's shared solution, built once, on the first call, on a
+// shallow copy of the solution that carries opts. opts and alloc are
+// the first caller's: the entry's key covers every field of them a
+// request can set except route workers, which no repair reads, so any
+// later caller would build the same base. A base lives as long as the
+// entry; it is under a kilobyte beside the solution and holds no
+// routing state, so the cache does not charge it.
+func (e *Entry) SessionBase(opts core.Options, alloc chip.Allocation) (*session.Base, error) {
+	e.base.Do(func() {
+		sol, err := e.Solution()
+		if err != nil {
+			e.baseErr = err
+			return
+		}
+		c := *sol
+		c.Opts = opts
+		e.sbase, e.baseErr = session.NewBase(&c, alloc)
+	})
+	return e.sbase, e.baseErr
 }
 
 // size is what the entry costs a cache: its document, plus as much again

@@ -164,10 +164,30 @@ var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
 // element, so an empty section is null, and the omitempty fields are
 // left out at their zero values. A NaN or infinite float is an error,
 // and dst is returned unchanged.
+//
+// The document is written as a head (AppendHead) and a tail
+// (AppendTail), so a caller that keeps a solution's schedule and
+// placement, as a session's reroute does, can resume after the head
+// instead of writing it again.
 func Append(dst []byte, sol *core.Solution) ([]byte, error) {
 	if sol == nil {
 		return dst, fmt.Errorf("solio: nil solution")
 	}
+	b, err := AppendTail(AppendHead(dst, sol), sol)
+	if err != nil {
+		return dst, err
+	}
+	return b, nil
+}
+
+// AppendHead begins sol's document in dst with its head: the opening
+// brace and every member from version through placement, which depend
+// on the solution's baseline flag, assay, options, components, schedule
+// and placement alone. It returns the writer after the head, which
+// AppendTail finishes; a writer resumed in its state (jsonw's Resume)
+// finishes the same document into another buffer. A NaN or infinite
+// float is kept as the writer's Err.
+func AppendHead(dst []byte, sol *core.Solution) jsonw.Writer {
 	w := jsonw.NewWriter(dst)
 	w.Object()
 	w.Key("version")
@@ -213,6 +233,14 @@ func Append(dst []byte, sol *core.Solution) ([]byte, error) {
 		w.EndArray()
 	}
 	w.EndObject()
+	return w
+}
+
+// AppendTail finishes the document AppendHead began in w: the routes,
+// the CPU time and the degradations, the closing brace and the trailing
+// newline. It returns w's bytes with the tail appended, or the first
+// unsupported value w met, in the head or the tail.
+func AppendTail(w jsonw.Writer, sol *core.Solution) ([]byte, error) {
 	w.Key("routes")
 	if w.List(len(sol.Routing.Routes)) {
 		for _, rt := range sol.Routing.Routes {
@@ -254,7 +282,7 @@ func Append(dst []byte, sol *core.Solution) ([]byte, error) {
 	}
 	w.EndObject()
 	if err := w.Err(); err != nil {
-		return dst, fmt.Errorf("solio: %w", err)
+		return nil, fmt.Errorf("solio: %w", err)
 	}
 	return append(w.Bytes(), '\n'), nil
 }

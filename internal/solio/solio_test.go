@@ -284,3 +284,29 @@ func TestDecodeUnvalidatedOffPlanePathCell(t *testing.T) {
 		})
 	}
 }
+
+// TestHeadTailResume: the document is its head and its tail, and a tail
+// written from a writer resumed in the head's state into a fresh buffer
+// is the document's remaining bytes exactly.
+func TestHeadTailResume(t *testing.T) {
+	for _, name := range []string{"PCR", "Synthetic3"} {
+		sol := solve(t, name, false)
+		sol.Degradations = []core.Degradation{{Stage: "session", Event: "dilate", Detail: "<x>"}}
+		doc, err := Append(nil, sol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := AppendHead([]byte("prefix"), sol)
+		head := w.Bytes()[len("prefix"):]
+		if !bytes.HasPrefix(doc, head) || !bytes.HasSuffix(head, []byte("\n  }")) {
+			t.Fatalf("%s: the head is not the document's prefix through the placement", name)
+		}
+		tail, err := AppendTail(w.Resume(nil), sol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(tail, doc[len(head):]) {
+			t.Fatalf("%s: the resumed tail is not the document's rest:\n%s", name, excerpt(tail, doc[len(head):]))
+		}
+	}
+}
